@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro import faults
-from repro.core import heops
 from repro.core.results import InferenceResult, stages_from_trace
 from repro.errors import (
     BatchTooLargeError,
@@ -56,8 +55,8 @@ from repro.errors import (
     UnknownModelError,
 )
 from repro.faults import run_with_kernel_degradation
+from repro.graph import executor as graph_executor
 from repro.he import parallel
-from repro.he.batching import pack_coefficients
 from repro.he.context import Ciphertext
 from repro.obs import metrics, recorder
 from repro.obs import context as obs_context
@@ -276,7 +275,9 @@ class RequestScheduler:
     # ------------------------------------------------------------------
     def validate_request(self, model_name: str, ct: Ciphertext) -> int:
         """Typed request validation shared by :meth:`submit` and the
-        event-driven :class:`~repro.serve.loop.ServingLoop`.
+        event-driven :class:`~repro.serve.loop.ServingLoop`: the server's
+        :meth:`~repro.core.server.EdgeServer.check_request` (the same checks
+        direct requests get) plus the packing capacity.
 
         Every rejection increments the matching :class:`ServeStats` counter
         and the ``repro_serve_rejected_total`` family before raising, so
@@ -292,33 +293,16 @@ class RequestScheduler:
                 with this model's channel count (``malformed``).
             BatchTooLargeError: the request alone exceeds the capacity.
         """
-        if model_name not in self.server.models():
+        try:
+            batch = self.server.check_request(model_name, ct)
+        except UnknownModelError:
             self.stats.rejected_unknown_model += 1
             _m_rejected().labels(reason="unknown_model").inc()
-            raise UnknownModelError(
-                f"unknown model {model_name!r}; provisioned: {self.server.models()}"
-            )
-        self.server.context.check_same(ct.context)
-        if len(ct.batch_shape) != 4:
+            raise
+        except ServeError:
             self.stats.rejected_malformed += 1
             _m_rejected().labels(reason="malformed").inc()
-            raise ServeError(
-                f"requests must be (B, C, H, W) pixel ciphertexts, got batch "
-                f"shape {ct.batch_shape}"
-            )
-        channels = self.server.encoded_model(model_name).conv.operands.shape[1]
-        if ct.batch_shape[1] != channels:
-            self.stats.rejected_malformed += 1
-            _m_rejected().labels(reason="malformed").inc()
-            raise ServeError(
-                f"request has {ct.batch_shape[1]} channels, model "
-                f"{model_name!r} expects {channels}"
-            )
-        batch = int(ct.batch_shape[0])
-        if batch < 1:
-            self.stats.rejected_malformed += 1
-            _m_rejected().labels(reason="malformed").inc()
-            raise ServeError("request ciphertext has an empty batch")
+            raise
         if batch > self.capacity:
             self.stats.rejected_oversized += 1
             _m_rejected().labels(reason="oversized").inc()
@@ -699,7 +683,9 @@ class RequestScheduler:
         from repro.core.server import ServedResult
 
         server = self.server
-        quantized = server.model(model_name)
+        graph, report = graph_executor.compiled_for(
+            server, "packed", model=server.model(model_name)
+        )
         encoded = server.encoded_model(model_name)
         tracer = server.platform.tracer
         clock = server.platform.clock
@@ -723,11 +709,6 @@ class RequestScheduler:
         if flushed_at is None:
             flushed_at = clock.now_s
 
-        def stage(name: str):
-            return tracer.stage(
-                name, counter=server.counter, side_channel=enclave.side_channel
-            )
-
         contexts = [r.context for r in requests]
         trace_attrs: dict = {}
         trace_ids = [c.trace_id for c in contexts if c is not None]
@@ -746,34 +727,12 @@ class RequestScheduler:
             slot_count=self.slot_count,
             replica=getattr(enclave, "replica", None),
             workers=parallel.active_workers(),
+            graph_opt=report.label,
             **trace_attrs,
         ) as trace:
-            with stage("pack"):
-                # Host side: fold the B stacked requests into polynomial
-                # coefficients homomorphically, so the enclave decrypts
-                # one ciphertext per pixel position instead of B.
-                folded = pack_coefficients(server.evaluator, stacked)
-                packed = enclave.ecall("pack_slots", folded, total)
-            with stage("conv"):
-                conv = heops.he_conv2d(
-                    server.evaluator, server.encoder, packed, encoded.conv
-                )
-            with stage("sgx_activation_pool"):
-                hidden = enclave.ecall(
-                    "activation_pool_simd",
-                    conv,
-                    quantized.conv_output_scale,
-                    quantized.act_scale,
-                    quantized.pool_window,
-                    quantized.activation,
-                    quantized.pool,
-                )
-            with stage("fc"):
-                logits_packed = heops.he_dense(
-                    server.evaluator, server.encoder, hidden, encoded.dense
-                )
-            with stage("unpack"):
-                logits_ct = enclave.ecall("unpack_slots", logits_packed, total)
+            _, _, logits_ct = graph_executor.run(
+                graph, server.runtime(model_name, enclave), stacked
+            )
             for r in requests:
                 request_attrs = {}
                 if r.context is not None:

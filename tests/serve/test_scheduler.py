@@ -15,7 +15,7 @@ from repro.errors import (
     UnknownModelError,
 )
 from repro.obs import reconcile
-from repro.serve import PACKED_SCHEME, RequestScheduler, ServeConfig
+from repro.serve import PACKED_SCHEME, InferenceRequest, RequestScheduler, ServeConfig
 
 
 class TestPackingCorrectness:
@@ -29,7 +29,12 @@ class TestPackingCorrectness:
         sequential = np.concatenate(
             [
                 session.decrypt_logits(
-                    server.infer("digits", session.encrypt("digits", images[i : i + 1]))
+                    server.infer(
+                        InferenceRequest(
+                            model="digits",
+                            ciphertext=session.encrypt("digits", images[i : i + 1]),
+                        )
+                    )
                 )
                 for i in range(len(images))
             ]
@@ -172,7 +177,7 @@ class TestRejectionPaths:
         """Typed serve errors stay inside the library's existing hierarchy."""
         ct = session.encrypt("digits", models.dataset.test_images[:1])
         with pytest.raises(PipelineError):
-            server.infer("faces", ct)
+            server.infer(InferenceRequest(model="faces", ciphertext=ct))
 
     def test_oversized_batch(self, batching_params, q_sigmoid, session_for, models):
         srv = EdgeServer(
@@ -202,7 +207,9 @@ class TestServerFacade:
     def test_infer_pack_kwarg(self, server, session, q_sigmoid, models):
         images = models.dataset.test_images[:1]
         result = server.infer(
-            "digits", session.encrypt("digits", images), pack=True
+            InferenceRequest(
+                model="digits", ciphertext=session.encrypt("digits", images), pack=True
+            )
         )
         expected = PlaintextPipeline(q_sigmoid).infer(images).logits
         assert np.array_equal(session.decrypt_logits(result), expected)
@@ -219,7 +226,11 @@ class TestServerFacade:
             for i in range(2)
         ]
         result = server.infer(
-            "digits", session.encrypt("digits", images[2:3]), pack=True
+            InferenceRequest(
+                model="digits",
+                ciphertext=session.encrypt("digits", images[2:3]),
+                pack=True,
+            )
         )
         assert result.packed_batch == 3
         assert all(r.done() for r in early)
@@ -228,13 +239,7 @@ class TestServerFacade:
     def test_deadline_without_pack_rejected(self, server, session, models):
         ct = session.encrypt("digits", models.dataset.test_images[:1])
         with pytest.raises(PipelineError):
-            server.infer("digits", ct, deadline_ms=5.0)
-
-    def test_legacy_positional_call_still_works(self, server, session, q_sigmoid, models):
-        images = models.dataset.test_images[:1]
-        result = server.infer("digits", session.encrypt("digits", images))
-        expected = PlaintextPipeline(q_sigmoid).infer(images).logits
-        assert np.array_equal(session.decrypt_logits(result), expected)
+            InferenceRequest(model="digits", ciphertext=ct, deadline_ms=5.0)
 
 
 class TestObservability:
