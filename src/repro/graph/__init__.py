@@ -10,11 +10,14 @@ and executes the compiled graph bit-identically to the unoptimized
 reference — the same contract the FUSED/REFERENCE kernel split enforces.
 
 Modules:
-    ir: the :class:`InferenceGraph` IR and the hybrid/CryptoNets builders.
+    ir: the :class:`InferenceGraph` IR and its builders (``build_graph``
+        for every inference path: hybrid, CryptoNets, SIMD, deep, and the
+        edge server's direct and packed serving).
     passes: the rewrite passes and their refusal conditions.
     optimizer: level configuration (off/safe/aggressive, ``REPRO_GRAPH_OPT``),
         the compiler with fault-site degradation, and compile reports.
-    executor: runs a compiled graph on a live pipeline object.
+    executor: the only inference runner -- walks a compiled graph against
+        an explicit ``Runtime`` (evaluator, weights, enclave, stage opener).
 """
 
 from repro.graph.ir import (

@@ -39,22 +39,27 @@ FAILOVER_SEQUENCE = [
 
 
 def _run_failover(batching_params, q_sigmoid, models, seed):
-    with use_registry(), use_recorder() as rec:
+    # The recorder is armed once the deployment is built: the pinned
+    # sequence is the serving run's, not provisioning's (which records the
+    # graph optimizer's compile-time refusals when a level is active).
+    with use_registry():
         loop, session = make_fleet_loop(batching_params, q_sigmoid)
-        images = models.dataset.test_images[:3]
-        tickets = [
-            loop.submit(
-                "digits", session.encrypt("digits", images[i : i + 1]), at_s=0.001 * i
-            )
-            for i in range(3)
-        ]
-        plan = FaultPlan(
-            seed, rules=[FaultRule(site="serve.fleet.replica", name="0", max_fires=1)]
-        )
-        with faults.armed(plan):
-            loop.run()
-        logits = [session.decrypt_logits(t.result()) for t in tickets]
-        return rec, logits, q_sigmoid
+        with use_recorder() as rec:
+            images = models.dataset.test_images[:3]
+            tickets = [
+                loop.submit(
+                    "digits",
+                    session.encrypt("digits", images[i : i + 1]),
+                    at_s=0.001 * i,
+                )
+                for i in range(3)
+            ]
+            rule = FaultRule(site="serve.fleet.replica", name="0", max_fires=1)
+            plan = FaultPlan(seed, rules=[rule])
+            with faults.armed(plan):
+                loop.run()
+            logits = [session.decrypt_logits(t.result()) for t in tickets]
+            return rec, logits, q_sigmoid
 
 
 class TestFailoverSequencePinned:
