@@ -9,11 +9,14 @@ reference profile (per-prime ``NttPlan`` loops, full ``%`` everywhere,
 per-tap Python loops), then under the fused profile, and reports:
 
 * an NTT microbenchmark (stacked vs per-prime transforms, both domains);
+* a ct x ct row: multiply + relinearize at the cryptonets pipeline's
+  parameters (the big-int tensor product and relinearization digits
+  against their int64 RNS kernels), wall-clock;
 * a fig8-style end-to-end hybrid (``EncryptSGX``) inference comparison on
   the simulated clock (real compute + modeled SGX overhead);
-* a bit-identity audit -- encrypted input, conv output, FC logits and
-  decrypted values must match the reference *bytes*, and the operation
-  tallies must be identical.
+* a bit-identity audit -- encrypted input, conv output, FC logits,
+  decrypted values and the relinearized ct x ct products must match the
+  reference *bytes*, and the operation tallies must be identical.
 
 Emits ``BENCH_hotpath.json`` and exits nonzero if any bit-identity check
 fails or the end-to-end speedup falls below ``--min-speedup`` (default 3x).
@@ -31,7 +34,14 @@ import time
 import numpy as np
 
 from repro.core import HybridPipeline, heops, parameters_for_pipeline, train_paper_models
-from repro.he import kernels
+from repro.he import (
+    Context,
+    Encryptor,
+    Evaluator,
+    KeyGenerator,
+    ScalarEncoder,
+    kernels,
+)
 
 
 def _time_ntt(ring, batch: tuple[int, ...], reps: int, rng) -> dict:
@@ -55,6 +65,48 @@ def _time_ntt(ring, batch: tuple[int, ...], reps: int, rng) -> dict:
         }
     out["forward_speedup"] = out["reference"]["forward_s"] / out["fused"]["forward_s"]
     out["inverse_speedup"] = out["reference"]["inverse_s"] / out["fused"]["inverse_s"]
+    return out
+
+
+def _time_tensor_product(params, batch: int, reps: int, rng) -> dict:
+    """Median wall seconds of ``relinearize(multiply(ct0, ct1))`` over a
+    batch of ciphertexts, both kernel modes, plus the bit-identity of the
+    relinearized product and of the relinearized square."""
+    context = Context(params)
+    keygen = KeyGenerator(context, rng)
+    keys = keygen.generate()
+    relin = keygen.relin_keys(keys.secret)
+    encryptor = Encryptor(context, keys.public, rng)
+    encoder = ScalarEncoder(context)
+    ct0, ct1 = (
+        encryptor.encrypt(encoder.encode(rng.integers(-50, 50, size=batch)))
+        for _ in range(2)
+    )
+    evaluator = Evaluator(context)
+
+    def step():
+        return evaluator.relinearize(evaluator.multiply(ct0, ct1), relin)
+
+    out: dict = {"batch": batch}
+    outputs = {}
+    for name, profile in (("reference", kernels.REFERENCE), ("fused", kernels.FUSED)):
+        with kernels.use(profile):
+            step()  # warm: the fused path builds its auxiliary basis once
+            times = []
+            for _ in range(reps):
+                t0 = time.perf_counter()
+                product = step()
+                times.append(time.perf_counter() - t0)
+            square = evaluator.relinearize(evaluator.square(ct0), relin)
+        outputs[name] = (product.data, square.data)
+        out[name] = {"multiply_relinearize_s": float(np.median(times))}
+    out["speedup"] = (
+        out["reference"]["multiply_relinearize_s"]
+        / out["fused"]["multiply_relinearize_s"]
+    )
+    out["bit_identical"] = all(
+        np.array_equal(r, f) for r, f in zip(outputs["reference"], outputs["fused"])
+    )
     return out
 
 
@@ -121,12 +173,17 @@ def run(argv: list[str] | None = None) -> int:
     params = parameters_for_pipeline(quantized, poly_degree)
     images = models.dataset.test_images[: args.batch]
 
-    from repro.he.context import Context
-
     ring = Context(params).ring
     rng = np.random.default_rng(99)
     print("NTT microbenchmark...")
     ntt_report = _time_ntt(ring, (512,), reps=max(3, args.reps), rng=rng)
+    print("ct x ct multiply + relinearize at cryptonets parameters...")
+    ct_mul_report = _time_tensor_product(
+        parameters_for_pipeline(models.quantized_square(), poly_degree),
+        batch=64,
+        reps=args.reps,
+        rng=rng,
+    )
 
     print("end-to-end hybrid inference, reference kernels (pre-change baseline)...")
     ref = _run_pipeline(kernels.REFERENCE, quantized, params, images, args.reps)
@@ -142,6 +199,7 @@ def run(argv: list[str] | None = None) -> int:
             np.array_equal(ref["conv_ct"].data, fus["conv_ct"].data)
         ),
         "op_tallies": ref["counts"] == fus["counts"],
+        "tensor_product": ct_mul_report.pop("bit_identical"),
     }
     bit_identical = all(identity.values())
     speedup = ref["median_s"] / fus["median_s"]
@@ -157,6 +215,7 @@ def run(argv: list[str] | None = None) -> int:
             "min_speedup": args.min_speedup,
         },
         "ntt": ntt_report,
+        "ct_mul": ct_mul_report,
         "baseline_reference": {
             "simulated_s": ref["median_s"],
             "stages_s": ref["stage_s"],
@@ -174,6 +233,10 @@ def run(argv: list[str] | None = None) -> int:
     print(
         f"NTT forward {ntt_report['forward_speedup']:.2f}x, "
         f"inverse {ntt_report['inverse_speedup']:.2f}x (batch {ntt_report['batch']})"
+    )
+    print(
+        f"ct x ct multiply + relinearize {ct_mul_report['speedup']:.2f}x "
+        f"(batch {ct_mul_report['batch']})"
     )
     print(f"reference: {ref['median_s']:.3f} simulated s/inference")
     print(f"fused:     {fus['median_s']:.3f} simulated s/inference")

@@ -3,11 +3,15 @@
 Implements the paper's Section II-B evaluation algorithms:
 
 * ``Add(ct0, ct1)``: component-wise sum.
-* ``Multiply(ct0, ct1)``: FV tensor product -- the three cross products are
-  computed as *exact* integer negacyclic convolutions (auxiliary-prime CRT),
-  scaled by ``t/q`` with true rounding, yielding a size-3 ciphertext.
+* ``Multiply(ct0, ct1)``: FV tensor product -- the three cross products,
+  scaled by ``t/q`` with true rounding, yielding a size-3 ciphertext.  The
+  fused kernels compute it exactly in int64 RNS
+  (:meth:`~repro.he.polyring.PolyContext.tensor_product`: Garner base
+  conversion into auxiliary NTT primes); the reference kernels lift to
+  Python integers and convolve them exactly.  Both give the same bytes.
 * ``relinearize``: base-``w`` digit decomposition of ``c2`` against the
-  evaluation keys, shrinking size 3 back to 2.
+  evaluation keys, shrinking size 3 back to 2.  The digits come from int64
+  limbs (fused) or shifts of the object-dtype lift (reference).
 
 All operations accept batched ciphertexts (leading axes) and most are pure
 pointwise numpy work because ciphertexts rest in NTT domain.
@@ -257,6 +261,17 @@ class Evaluator:
             )
         ring = self.context.ring
         params = self.context.params
+        t, q = params.plain_modulus, params.coeff_modulus
+        if kernels.active().fast_decrypt:
+            # Exact RNS tensor product; the same object on both sides
+            # (``square``) takes the three-product path.
+            a = (ct0.to_ntt().data, ct0.to_coeff().data)
+            b = None if ct1 is ct0 else (ct1.to_ntt().data, ct1.to_coeff().data)
+            result = Ciphertext(
+                self.context, ring.tensor_product(a, b, t), is_ntt=False
+            )
+            self._record("ct_mul", result)
+            return result
         a = ct0.to_coeff().data
         b = ct1.to_coeff().data
         a0 = ring.to_bigint_centered(a[..., 0, :, :])
@@ -266,7 +281,6 @@ class Evaluator:
         c0 = ring.convolve_exact(a0, b0)
         c1 = ring.convolve_exact(a0, b1) + ring.convolve_exact(a1, b0)
         c2 = ring.convolve_exact(a1, b1)
-        t, q = params.plain_modulus, params.coeff_modulus
         parts = [ring.scale_and_round(c, t, q) for c in (c0, c1, c2)]
         data = np.stack(parts, axis=-3)
         result = Ciphertext(self.context, data, is_ntt=False)
@@ -289,13 +303,23 @@ class Evaluator:
         ring = self.context.ring
         params = self.context.params
         coeff = ct.to_coeff().data
-        c2_big = ring.to_bigint(coeff[..., 2, :, :])  # digits need the [0, q) lift
         base_bits = params.decomposition_bits
-        mask = params.decomposition_base - 1
+        # Digits of c2's [0, q) lift: int64 limbs cut from the Garner digits
+        # (fused) or shifts of the object-dtype lift (reference).
+        if kernels.active().fast_decrypt:
+            all_digits = ring.basis.limbs(
+                coeff[..., 2, :, :], base_bits, relin_keys.count
+            )
+        else:
+            c2_big = ring.to_bigint(coeff[..., 2, :, :])
+            mask = params.decomposition_base - 1
+            all_digits = [
+                ((c2_big >> (base_bits * i)) & mask).astype(np.int64)
+                for i in range(relin_keys.count)
+            ]
         acc0 = ring.ntt(coeff[..., 0, :, :])
         acc1 = ring.ntt(coeff[..., 1, :, :])
-        for i in range(relin_keys.count):
-            digits = ((c2_big >> (base_bits * i)) & mask).astype(np.int64)
+        for i, digits in enumerate(all_digits):
             d_ntt = ring.ntt(ring.from_signed_small(digits))
             acc0 = ring.add(acc0, ring.pointwise_mul(relin_keys.key0_ntt[i], d_ntt))
             acc1 = ring.add(acc1, ring.pointwise_mul(relin_keys.key1_ntt[i], d_ntt))

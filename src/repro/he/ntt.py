@@ -136,7 +136,8 @@ class StackedNttPlan:
     * the forward butterfly reduces the twiddle product mod p, so both
       outputs stay below ``B + p_max`` -- ``B`` grows by ``p_max`` per stage;
     * the inverse butterfly defers both halves: ``u + v < 2B`` and
-      ``(u - v + off) * s`` requires ``2B + p_max <= MULT_SAFE`` first;
+      ``(u - v + off) * s`` requires ``2B + p_max <= MULT_SAFE`` first, or
+      fully reduced rows (then ``off = p`` and ``u - v + off < 2 p_max``);
     * before any multiplication by a twiddle/scalar ``s < p_max`` the operand
       must be below ``MULT_SAFE = (2^63 - 1) // (p_max - 1)`` (>= 2^32 for
       31-bit primes, ~2^33 for the 30-bit default), which is when the
@@ -230,8 +231,14 @@ class StackedNttPlan:
             if 2 * bound + self._p_max > self._mult_safe:
                 self._reduce_rows(x)
                 bound = self._p_max
-            # Per-prime multiple of p lifting u - v (> -bound) to >= 0.
-            off = (-(-bound // self.primes) * self.primes).reshape(self.k, 1, 1, 1)
+            if bound == self._p_max:
+                # Fully reduced rows (each below its own p): one p lifts
+                # u - v to >= 0 and d < 2 p_max <= MULT_SAFE, which 31-bit
+                # primes need (2 * bound + p_max exceeds it for them).
+                off = self._p_off
+            else:
+                # Per-prime multiple of p lifting u - v (> -bound) to >= 0.
+                off = (-(-bound // self.primes) * self.primes).reshape(self.k, 1, 1, 1)
             view = x.reshape(self.k, b, h, 2, t)
             u = view[..., 0, :]
             v = view[..., 1, :]
@@ -288,10 +295,10 @@ def negacyclic_convolve_exact(
 ) -> np.ndarray:
     """Exact integer negacyclic convolution of big-integer polynomials.
 
-    Used for the FV tensor product, whose coefficients (up to ``n * (q/2)^2``)
-    overflow int64.  The inputs are object arrays of Python ints with absolute
-    values below ``bound``; the product is assembled by CRT over enough
-    word-size NTT primes to cover the worst-case coefficient.
+    Used by the reference FV tensor product, whose coefficients (up to
+    ``n * (q/2)^2``) overflow int64.  The inputs are object arrays of Python
+    ints with absolute values below ``bound``; the product is assembled by
+    CRT over enough word-size NTT primes to cover the worst-case coefficient.
 
     Args:
         a, b: object arrays with shape ``(..., n)`` holding Python ints.

@@ -22,6 +22,150 @@ from repro.he.ntt import NttPlan, StackedNttPlan, negacyclic_convolve_exact
 _MUL_SUM_CHUNK_ELEMS = 1 << 25
 
 
+def _mod_inplace(x: np.ndarray, p: int) -> None:
+    """``x %= p`` in place, as ``x -= (x // p) * p``: numpy's floor division
+    by a scalar is several times faster than its remainder, and the floor
+    makes the result the same nonnegative residue."""
+    q = x // p
+    q *= p
+    x -= q
+
+
+class RnsBasis:
+    """Exact int64 conversion of residues out of one RNS basis.
+
+    Residues ``r_i = x mod m_i`` (primes ``m_i < 2^31``, shape ``(..., k,
+    n)``) determine Garner's mixed-radix digits of the lift
+    ``x in [0, M)``::
+
+        x = d_0 + d_1 m_0 + d_2 m_0 m_1 + ... ,   0 <= d_i < m_i
+
+    Each digit is ``(r_i - [d_0 + ... + d_{i-1} m_0..m_{i-2}]_{m_i}) *
+    (m_0..m_{i-1})^-1 mod m_i``, with the bracket evaluated by Horner's rule
+    mod ``m_i``: every product is below ``2^62``, so no step leaves int64
+    whatever the size of ``M``.  From the digits:
+
+    * :meth:`convert` evaluates the lift modulo the primes of another basis
+      (Horner again), optionally centered into ``(-M/2, M/2]`` -- the
+      comparison with ``floor(M/2)`` runs on the digits, most significant
+      first;
+    * :meth:`PolyContext.to_int64_centered` is the one-word case
+      ``M < 2^62``, where the plain Horner sum is the lift itself;
+    * :meth:`limbs` cuts the lift into base-``2^bits`` digits.
+    """
+
+    def __init__(self, primes: Sequence[int]) -> None:
+        self.primes = [int(p) for p in primes]
+        self.k = len(self.primes)
+        self.modulus = modmath.product(self.primes)
+        # inv_i = (m_0 ... m_{i-1})^-1 mod m_i
+        self._invs = [
+            modmath.invert_mod(modmath.product(self.primes[:i]) % p, p)
+            for i, p in enumerate(self.primes)
+        ]
+        half = self.modulus // 2
+        self._half_digits = []
+        for p in self.primes:
+            half, digit = divmod(half, p)
+            self._half_digits.append(digit)
+
+    def digits(self, a: np.ndarray) -> list[np.ndarray]:
+        """Mixed-radix digits ``[d_0, ..., d_{k-1}]`` (each ``(..., n)``) of
+        the ``[0, M)`` lift of residues ``a`` of shape ``(..., k, n)``."""
+        out = [a[..., 0, :].astype(np.int64)]
+        for i in range(1, self.k):
+            d = a[..., i, :] - self._horner(out, self.primes[i])
+            d *= self._invs[i]  # |r_i - h| < 2^31, inverse < 2^31
+            _mod_inplace(d, self.primes[i])
+            out.append(d)
+        return out
+
+    def _horner(self, digits: list[np.ndarray], p: int) -> np.ndarray:
+        """``sum_j d_j * m_0..m_{j-1}`` over ``digits``, reduced mod ``p``
+        after every step; a single digit is returned as is (unreduced,
+        < 2^31, and not a copy)."""
+        acc = digits[-1]
+        for j in range(len(digits) - 2, -1, -1):
+            acc = acc * self.primes[j]
+            acc += digits[j]
+            _mod_inplace(acc, p)
+        return acc
+
+    def _above_half(self, digits: list[np.ndarray]) -> np.ndarray:
+        """Mask of lifts ``> floor(M/2)``: digit-wise comparison, most
+        significant digit first."""
+        half = self._half_digits
+        above = digits[-1] > half[-1]
+        equal = digits[-1] == half[-1]
+        for i in range(self.k - 2, -1, -1):
+            above |= equal & (digits[i] > half[i])
+            equal &= digits[i] == half[i]
+        return above
+
+    def convert(
+        self, a: np.ndarray, primes: Sequence[int], centered: bool
+    ) -> np.ndarray:
+        """Residues of the exact lift of ``a`` modulo each of ``primes``.
+
+        The lift is ``[0, M)`` or, if ``centered``, ``(-M/2, M/2]``; output
+        shape ``(..., len(primes), n)``, residues in ``[0, p)``.
+        """
+        digits = self.digits(a)
+        above = self._above_half(digits) if centered else None
+        out = np.empty((*a.shape[:-2], len(primes), a.shape[-1]), dtype=np.int64)
+        for j, p in enumerate(primes):
+            acc = self._horner(digits, p)
+            if self.k == 1:
+                acc = acc % p
+            if above is not None:
+                np.subtract(acc, self.modulus % p, out=acc, where=above)
+                acc += (acc >> 63) & p
+            out[..., j, :] = acc
+        return out
+
+    def limbs(self, a: np.ndarray, bits: int, count: int) -> np.ndarray:
+        """The lowest ``count`` base-``2^bits`` digits of the ``[0, M)``
+        lift (``bits <= 30``), shape ``(count, ..., n)``.
+
+        Horner's rule over the mixed-radix digits, on ``bits``-bit int64
+        limbs with the carry propagated after every step: a normalized limb
+        times a prime stays below ``2^61``.  Only limbs the partial lift
+        can reach (its bound is the product of the primes consumed so far)
+        are touched.
+        """
+        digits = self.digits(a)
+        mask = (1 << bits) - 1
+        total = max(count, -(-self.modulus.bit_length() // bits))
+        out = np.zeros((total, *digits[0].shape), dtype=np.int64)
+        out[0] = digits[-1]
+        bound = self.primes[-1]
+        active = 1
+        for j in range(self.k - 1, -1, -1):
+            if j < self.k - 1:
+                out[:active] *= self.primes[j]
+                out[0] += digits[j]
+                bound *= self.primes[j]
+            reach = -(-bound.bit_length() // bits)
+            for limb in range(reach - 1):
+                out[limb + 1] += out[limb] >> bits
+                out[limb] &= mask
+            active = reach
+        return out[:count]
+
+
+def _tensor(mul, add, x: np.ndarray, y: np.ndarray | None) -> np.ndarray:
+    """``[x0 y0, x0 y1 + x1 y0, x1 y1]`` stacked on axis -3 for NTT-domain
+    size-2 tensors ``(..., 2, k, n)``; ``y=None`` squares ``x``."""
+    x0, x1 = x[..., 0, :, :], x[..., 1, :, :]
+    if y is None:
+        cross = mul(x0, x1)
+        parts = [mul(x0, x0), add(cross, cross), mul(x1, x1)]
+    else:
+        y0, y1 = y[..., 0, :, :], y[..., 1, :, :]
+        parts = [mul(x0, y0), add(mul(x0, y1), mul(x1, y0)), mul(x1, y1)]
+    return np.stack(parts, axis=-3)
+
+
 class PolyContext:
     """Vectorized RNS polynomial arithmetic for a fixed ``(n, primes)`` pair.
 
@@ -59,24 +203,11 @@ class PolyContext:
             ],
             dtype=object,
         )
-        # Garner (mixed-radix) lift constants for the int64 CRT fast path:
-        # x = r_0 + p_0 * t_1 + p_0 p_1 * t_2 + ...; every intermediate stays
-        # below q, so the lift is exact in int64 whenever q < 2^62.
+        # Exact int64 conversions out of this basis (Garner digits), and the
+        # lazily built auxiliary basis of the RNS tensor product, per t.
+        self.basis = RnsBasis(self._prime_list)
         self.q_fits_int64 = self.q < (1 << 62)
-        if self.q_fits_int64:
-            prods: list[int] = [1]
-            invs: list[int] = [0]
-            partial = 1
-            for i in range(1, self.k):
-                partial *= self._prime_list[i - 1]
-                prods.append(partial)
-                invs.append(
-                    modmath.invert_mod(
-                        partial % self._prime_list[i], self._prime_list[i]
-                    )
-                )
-            self._garner_prods = prods
-            self._garner_invs = invs
+        self._aux: dict[int, _AuxBasis] = {}
 
     # ------------------------------------------------------------------
     # construction / sampling
@@ -292,7 +423,69 @@ class PolyContext:
         return self.intt(self.pointwise_mul(self.ntt(a), self.ntt(b)))
 
     # ------------------------------------------------------------------
-    # big-integer bridge (decrypt, tensor product, relinearization digits)
+    # exact RNS tensor product (fused kernels)
+    # ------------------------------------------------------------------
+    def _aux_basis(self, t: int) -> "_AuxBasis":
+        """The tensor product's auxiliary basis for plaintext modulus ``t``,
+        built on first use."""
+        aux = self._aux.get(t)
+        if aux is None:
+            aux = self._aux[t] = _AuxBasis(self, t)
+        return aux
+
+    def tensor_product(
+        self,
+        a: tuple[np.ndarray, np.ndarray],
+        b: tuple[np.ndarray, np.ndarray] | None,
+        t: int,
+    ) -> np.ndarray:
+        """FV tensor product ``round(t/q * (a (x) b))`` computed in RNS.
+
+        ``a`` and ``b`` are size-2 ciphertext tensors given as ``(ntt,
+        coeff)`` pairs of shape ``(..., 2, k, n)``; ``b=None`` squares
+        ``a`` (three products instead of four, one auxiliary NTT).  Returns
+        the size-3 coefficient-domain result, broadcast over the batch axes
+        and bit-identical to :meth:`scale_and_round` of
+        :meth:`convolve_exact` over the centered lifts.
+
+        With ``h = (q-1)/2`` (``q`` is odd) the sign-symmetric rounding is
+        ``Q = floor((t c + h) / q)``.  ``c mod q_i`` comes from NTT-domain
+        products and ``c mod p_j`` from the centered lifts converted to the
+        auxiliary basis.  ``R = [t c + h]_q`` is lifted exactly into that
+        basis, where ``Q = (t c + h - R) q^-1``; ``Q``'s centered lift is
+        converted back to the ``q`` basis.
+        """
+        aux = self._aux_basis(t)
+
+        def to_aux(coeff: np.ndarray) -> np.ndarray:
+            centered = self.basis.convert(coeff, aux.primes, centered=True)
+            return aux.plan.forward(centered)
+
+        a_aux = to_aux(a[1])
+        b_aux = None if b is None else to_aux(b[1])
+        c_aux = aux.plan.inverse(_tensor(aux.mul, aux.add, a_aux, b_aux))
+        del a_aux, b_aux
+        c_q = self.intt(
+            _tensor(self.pointwise_mul, self.add, a[0], None if b is None else b[0])
+        )
+        h = self.q // 2
+        r_q = self.add(self.mul_scalar(c_q, t), self.scalar_residues(h))
+        del c_q
+        r_aux = self.basis.convert(r_q, aux.primes, centered=False)
+        # Q = (t c + h - R) q^-1 mod p_j, in place of c_aux: t c < p^2 and
+        # |h - R| < p.
+        for j, (p, t_j, h_j, q_inv_j) in enumerate(aux.constants):
+            row = c_aux[..., j, :]
+            row *= t_j
+            row += h_j
+            row -= r_aux[..., j, :]
+            _mod_inplace(row, p)
+            row *= q_inv_j
+            _mod_inplace(row, p)
+        return aux.basis.convert(c_aux, self._prime_list, centered=True)
+
+    # ------------------------------------------------------------------
+    # big-integer bridge (reference decrypt, tensor product, relin digits)
     # ------------------------------------------------------------------
     def to_bigint(self, a: np.ndarray) -> np.ndarray:
         """CRT-lift RNS residues to object-array coefficients in ``[0, q)``.
@@ -312,23 +505,20 @@ class PolyContext:
     def to_int64_centered(self, a: np.ndarray) -> np.ndarray:
         """Exact centered CRT lift as int64 (requires ``q < 2^62``).
 
-        Garner's mixed-radix reconstruction: every intermediate stays below
-        ``q``, so for ``q < 2^62`` the whole lift runs in int64 -- no
-        object-dtype arithmetic.  Bit-identical (after ``astype(object)``)
-        to :meth:`to_bigint_centered`.
+        The one-word case of :class:`RnsBasis` -- its Garner digits summed
+        in int64, no object-dtype arithmetic.  Bit-identical (after
+        ``astype(object)``) to :meth:`to_bigint_centered`.
         """
         if not self.q_fits_int64:
             raise ParameterError(
                 f"q has {self.q.bit_length()} bits; the int64 CRT lift "
                 "requires q < 2^62 (use to_bigint_centered)"
             )
-        acc = a[..., 0, :].astype(np.int64, copy=True)
-        for i in range(1, self.k):
-            p = self._prime_list[i]
-            d = (a[..., i, :] - acc) % p
-            d *= self._garner_invs[i]
-            d %= p
-            acc += self._garner_prods[i] * d
+        digits = self.basis.digits(a)
+        acc = digits[-1]
+        for j in range(self.k - 2, -1, -1):
+            acc = acc * self._prime_list[j]  # partial lifts stay below q < 2^62
+            acc += digits[j]
         return np.where(acc > self.q // 2, acc - self.q, acc)
 
     def convolve_exact(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -347,3 +537,49 @@ class PolyContext:
             scaled >= 0, (scaled + half) // denom, -((-scaled + half) // denom)
         )
         return self.from_int_coeffs(rounded)
+
+
+class _AuxBasis:
+    """Auxiliary NTT primes of :meth:`PolyContext.tensor_product`.
+
+    The primes are disjoint from ``q``'s and their product ``M`` exceeds
+    ``2 (t max|c| / q + 1)``, where ``max|c| = 2n (q/2)^2`` bounds the
+    ``c1`` cross term, so the centered lift of the rounded quotient is
+    exact.  Holds their stacked NTT plan and the per-prime constants of
+    the quotient step.
+    """
+
+    def __init__(self, ring: PolyContext, t: int) -> None:
+        q = ring.q
+        half = q // 2
+        bound = 2 * (t * 2 * ring.n * half * half // q + 2)
+        own = set(ring._prime_list)
+        # Each 30-bit NTT prime exceeds 2^29; q's own primes may be skipped.
+        wanted = bound.bit_length() // 29 + 1 + ring.k
+        candidates = modmath.ntt_primes(30, ring.n, wanted)
+        primes: list[int] = []
+        for p in candidates:
+            if p not in own:
+                primes.append(p)
+                if modmath.product(primes) > bound:
+                    break
+        self.primes = primes
+        self.basis = RnsBasis(primes)
+        self.plan = StackedNttPlan(ring.n, primes)
+        self.col = np.array(primes, dtype=np.int64).reshape(-1, 1)
+        #: Per prime: ``(p, t mod p, h mod p, q^-1 mod p)``.
+        self.constants = [
+            (p, t % p, half % p, modmath.invert_mod(q % p, p)) for p in primes
+        ]
+
+    def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        prod = x * y
+        for j, p in enumerate(self.primes):
+            _mod_inplace(prod[..., j, :], p)
+        return prod
+
+    def add(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        s = x + y
+        s -= self.col
+        s += (s >> 63) & self.col
+        return s

@@ -11,16 +11,21 @@ REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 GATE = REPO_ROOT / "tools" / "bench_gate.py"
 
 
-def _hotpath_report(speedup=3.0, fused_s=0.2, bit_identical=True):
+def _hotpath_report(
+    speedup=3.0, fused_s=0.2, bit_identical=True, ct_mul_speedup=5.0,
+    tensor_product=True,
+):
     return {
         "config": {"mode": "smoke"},
         "ntt": {"forward_speedup": 2.0, "inverse_speedup": 2.0},
+        "ct_mul": {"speedup": ct_mul_speedup},
         "fused": {"simulated_s": fused_s},
         "speedup": speedup,
         "bit_identical": {
             "logits": bit_identical,
             "encrypted_input": bit_identical,
             "op_tallies": bit_identical,
+            "tensor_product": tensor_product,
         },
     }
 
@@ -184,6 +189,25 @@ class TestBenchGate:
                      "--timing-tolerance", "99")
         assert proc.returncode == 1
         assert "violated" in proc.stdout
+
+    def test_tensor_product_gates(self, tmp_path):
+        """The ct x ct row: a speedup drop beyond tolerance and a
+        tensor-product bit-identity violation each fail the gate."""
+        _write_pair(tmp_path / "base", _hotpath_report(), _serving_report())
+        _write_pair(
+            tmp_path / "slow", _hotpath_report(ct_mul_speedup=1.0), _serving_report()
+        )
+        proc = _gate(tmp_path / "base", tmp_path / "slow")
+        assert proc.returncode == 1
+        assert "FAIL ct_mul.speedup" in proc.stdout
+        _write_pair(
+            tmp_path / "diverged",
+            _hotpath_report(tensor_product=False),
+            _serving_report(),
+        )
+        proc = _gate(tmp_path / "base", tmp_path / "diverged", "--tolerance", "0.99")
+        assert proc.returncode == 1
+        assert "FAIL bit_identical.tensor_product" in proc.stdout
 
     def test_mode_mismatch_fails_with_regenerate_hint(self, tmp_path):
         _write_pair(tmp_path / "base", _hotpath_report(), _serving_report(mode="full"))

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import CryptonetsPipeline, HybridPipeline, heops
 from repro.he import kernels
+from repro.he.serialize import serialize_ciphertext
 
 
 def _run_hybrid(profile, quantized, params, images):
@@ -92,19 +93,54 @@ class TestDenseAndPoolEquivalence:
         assert pipe.conv_weights.weight_taps.shape == (f, c * kh * kw)
 
 
+def _run_cryptonets(profile, quantized, params, images):
+    """One pure-HE deployment under ``profile``: the inference, its op
+    tallies and the encryptor's next draw, then the relinearized square of
+    a fresh conv output, then the next draw again."""
+    with kernels.use(profile):
+        pipe = CryptonetsPipeline(quantized, params, seed=21)
+        result = pipe.infer(images)
+        counts = dict(pipe.counter.counts)
+        draw_after_infer = int(pipe.encryptor.rng.integers(1 << 62))
+        ct = pipe.encrypt_images(images)
+        conv = heops.he_conv2d(pipe.evaluator, pipe.encoder, ct, pipe.conv_weights)
+        relined = pipe.evaluator.relinearize(
+            heops.he_square(pipe.evaluator, conv), pipe._relin_keys
+        )
+        draw_at_end = int(pipe.encryptor.rng.integers(1 << 62))
+    return {
+        "logits": result.logits,
+        "logits_ct": serialize_ciphertext(result.logits_ct),
+        "counts": counts,
+        "relinearized": serialize_ciphertext(relined),
+        "draws": (draw_after_infer, draw_at_end),
+    }
+
+
 class TestCryptonetsEquivalence:
-    def test_logits_and_tallies_match(self, q_square, pure_he_params, test_images):
-        outs = {}
-        for name, profile in (
-            ("reference", kernels.REFERENCE),
-            ("fused", kernels.FUSED),
-        ):
-            prev = kernels.configure(profile)
-            try:
-                pipe = CryptonetsPipeline(q_square, pure_he_params, seed=21)
-                outs[name] = (pipe.infer(test_images), dict(pipe.counter.counts))
-            finally:
-                kernels.configure(prev)
-        ref, fus = outs["reference"], outs["fused"]
-        assert np.array_equal(ref[0].logits, fus[0].logits)
-        assert ref[1] == fus[1]
+    """The pure-HE path is where FUSED swaps the big-int tensor product and
+    relinearization digits for int64 RNS kernels."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, q_square, pure_he_params, test_images):
+        return tuple(
+            _run_cryptonets(profile, q_square, pure_he_params, test_images)
+            for profile in (kernels.REFERENCE, kernels.FUSED)
+        )
+
+    def test_logits_and_tallies_match(self, runs):
+        ref, fus = runs
+        assert np.array_equal(ref["logits"], fus["logits"])
+        assert ref["counts"] == fus["counts"]
+
+    def test_logits_ciphertext_bytes_identical(self, runs):
+        ref, fus = runs
+        assert ref["logits_ct"] == fus["logits_ct"]
+
+    def test_relinearized_intermediate_bytes_identical(self, runs):
+        ref, fus = runs
+        assert ref["relinearized"] == fus["relinearized"]
+
+    def test_encryptor_next_draw_identical(self, runs):
+        ref, fus = runs
+        assert ref["draws"] == fus["draws"]

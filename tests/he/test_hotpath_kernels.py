@@ -103,6 +103,20 @@ class TestStackedNttEquivalence:
         x = ring.sample_uniform(rng, 7)
         assert np.array_equal(ring.stacked.inverse(ring.stacked.forward(x)), x)
 
+    @pytest.mark.parametrize("n", [8, 64, 1024])
+    def test_31_bit_primes_match_per_prime(self, rng, n):
+        """Primes just below 2^31 (the documented limit): ``3 p_max``
+        exceeds the multiplication-safe bound, so the inverse butterfly
+        must lift fully reduced rows by one ``p``, not by a multiple of
+        ``p_max``."""
+        wide = PolyContext(n, modmath.ntt_primes(31, n, 3))
+        x = wide.sample_uniform(rng, 4)
+        for transform in ("forward", "inverse"):
+            expected = np.empty_like(x)
+            for i, plan in enumerate(wide.plans):
+                expected[..., i, :] = getattr(plan, transform)(x[..., i, :])
+            assert np.array_equal(getattr(wide.stacked, transform)(x), expected)
+
     def test_ring_dispatch_matches_both_modes(self, ring, rng):
         x = ring.sample_uniform(rng, 3)
         with kernels.use(kernels.FUSED):

@@ -75,10 +75,12 @@ BENCHES: dict[str, dict] = {
             MetricSpec("speedup", "ratio"),
             MetricSpec("ntt.forward_speedup", "ratio"),
             MetricSpec("ntt.inverse_speedup", "ratio"),
+            MetricSpec("ct_mul.speedup", "ratio"),
             MetricSpec("fused.simulated_s", "timing"),
             MetricSpec("bit_identical.logits", "invariant"),
             MetricSpec("bit_identical.encrypted_input", "invariant"),
             MetricSpec("bit_identical.op_tallies", "invariant"),
+            MetricSpec("bit_identical.tensor_product", "invariant"),
         ),
     },
     "serving": {
