@@ -81,15 +81,17 @@ def reset_pool():
 
 
 def identity_batch(server, client, images):
-    """Run the fixed identity batch through one scheduler drain; returns
-    the per-request serialized logits-ciphertext bytes and logits."""
-    responses = [
-        server.scheduler.submit("digits", client.encrypt("digits", images[i : i + 1]))
+    """Run the fixed identity batch as one packed flush of a fresh serving
+    loop; returns the per-request serialized logits-ciphertext bytes and
+    logits."""
+    loop = ServingLoop(server)
+    tickets = [
+        loop.submit("digits", client.encrypt("digits", images[i : i + 1]))
         for i in range(len(images))
     ]
-    server.scheduler.drain()
-    blobs = [ser.serialize_ciphertext(r.result().logits_ct) for r in responses]
-    logits = [client.decrypt_logits(r.result()) for r in responses]
+    loop.run()
+    blobs = [ser.serialize_ciphertext(t.result().logits_ct) for t in tickets]
+    logits = [client.decrypt_logits(t.result()) for t in tickets]
     return blobs, logits
 
 
@@ -179,7 +181,7 @@ def run(argv: list[str] | None = None) -> int:
             workers=workers,
             seed=13,
         )
-        # Identity batch first: fixed composition, one drain -- the
+        # Identity batch first: fixed composition, one flush -- the
         # serialized bytes must not know the worker count.
         blobs, logits = identity_batch(server, client, pool_images)
         blobs_by_w[workers] = blobs

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Serving SLOs under open-loop traffic: the event-driven loop vs pump().
+"""Serving SLOs under open-loop traffic: the event-driven loop vs fixed windows.
 
 ``bench_serving_throughput.py`` measures one closed batch of concurrent
 requests; this bench asks the deployment question the paper's edge-serving

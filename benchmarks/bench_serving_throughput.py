@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Serving throughput: the slot-packed scheduler vs sequential serving.
+"""Serving throughput: slot-packed serving vs sequential serving.
 
 The paper predicts (Section VIII) that CRT/SIMD slot packing multiplies
 throughput by up to the slot count.  The serving layer (:mod:`repro.serve`)
@@ -10,8 +10,9 @@ crossings for the slot re-layout).
 
 This benchmark drives one :class:`~repro.core.EdgeServer` both ways --
 ``--requests`` single-image requests served one pipeline pass each, then
-the same requests submitted concurrently to the scheduler and drained as
-one packed flush -- and reports simulated-clock throughput for each, along
+the same requests submitted concurrently to a
+:class:`~repro.serve.ServingLoop`, which coalesces them into one packed
+flush -- and reports simulated-clock throughput for each, along
 with a bit-exactness check of every per-request decrypted prediction.
 
 Emits ``BENCH_serving.json`` and exits nonzero if predictions diverge or
@@ -36,7 +37,7 @@ from repro.core import (
     PlaintextPipeline,
     train_paper_models,
 )
-from repro.serve import InferenceRequest
+from repro.serve import InferenceRequest, LoopConfig, ServingLoop
 from repro.sgx import AttestationVerificationService
 
 
@@ -102,10 +103,11 @@ def run(argv: list[str] | None = None) -> int:
 
     print(f"serving {args.requests} requests slot-packed...")
     start = clock.now_s
-    responses = [server.scheduler.submit("digits", ct) for ct in requests]
-    server.scheduler.drain()
+    loop = ServingLoop(server, LoopConfig(max_queue_depth=args.requests))
+    tickets = [loop.submit("digits", ct) for ct in requests]
+    loop.run()
     packed_s = clock.now_s - start
-    packed_preds = np.concatenate([client.decrypt(r.result()) for r in responses])
+    packed_preds = np.concatenate([client.decrypt(t.result()) for t in tickets])
 
     speedup = sequential_s / packed_s
     predictions_match = bool(
@@ -128,7 +130,7 @@ def run(argv: list[str] | None = None) -> int:
         "packed": {
             "simulated_s": packed_s,
             "images_per_s": args.requests / packed_s,
-            "flushes": server.scheduler.stats.flushes,
+            "flushes": loop.stats.flushes,
             "enclave_crossings_per_flush": 3,
         },
         "speedup": speedup,
@@ -144,7 +146,7 @@ def run(argv: list[str] | None = None) -> int:
     print(
         f"packed:     {packed_s:.3f} simulated s "
         f"({report['packed']['images_per_s']:.2f} images/s) "
-        f"in {server.scheduler.stats.flushes} flush(es)"
+        f"in {loop.stats.flushes} flush(es)"
     )
     print(f"speedup: {speedup:.1f}x   predictions match: {predictions_match}")
     print(f"wrote {args.out}")

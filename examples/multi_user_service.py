@@ -4,8 +4,8 @@
 Puts the whole reproduction together the way an integrator would:
 
 1. the operator describes the deployment declaratively -- a
-   :class:`~repro.core.PipelineSpec` (scheme, parameters, fleet size,
-   queue bounds) builds the :class:`~repro.core.EdgeServer`, whose two
+   :class:`~repro.core.PipelineSpec` (scheme, parameters, fleet size)
+   builds the :class:`~repro.core.EdgeServer`, whose two
    enclave replicas share one key pair via sealed-key migration -- then
    seals the trained model to untrusted disk (surviving enclave restarts);
 2. several users enroll through the client SDK
@@ -14,7 +14,7 @@ Puts the whole reproduction together the way an integrator would:
    fingerprint the enclave delivered;
 3. requests are served one-user-at-a-time through the EdgeServer facade
    (a frozen :class:`~repro.serve.InferenceRequest` per call), then
-   *concurrently* through the request scheduler, which coalesces the
+   *concurrently* through the serving loop, which coalesces the
    users' requests into one slot-packed pipeline pass (paper Section
    VIII) -- cross-user packing is legal because the enclave fleet is the
    key authority, so every enrolled user shares its key pair;
@@ -39,7 +39,7 @@ from repro.core import (
     train_paper_models,
 )
 from repro.obs import render_timeline, resolve_trace_ids
-from repro.serve import InferenceRequest
+from repro.serve import InferenceRequest, ServingLoop
 from repro.sgx import AttestationVerificationService
 
 
@@ -92,23 +92,24 @@ def main() -> None:
     clock = server.platform.clock
     images = models.dataset.test_images[: len(clients)]
     start = clock.now_s
-    responses = [
-        server.scheduler.submit("digits", client.encrypt("digits", images[i : i + 1]))
+    loop = ServingLoop(server)
+    tickets = [
+        loop.submit("digits", client.encrypt("digits", images[i : i + 1]))
         for i, client in enumerate(clients)
     ]
-    served = server.scheduler.drain()
+    loop.run()
     packed_s = clock.now_s - start
-    stats = server.scheduler.stats
-    print(f"   {served} requests served in {stats.flushes} flush "
+    served = loop.stats.served
+    print(f"   {served} requests served in {loop.stats.flushes} flush "
           f"({packed_s:.2f}s simulated, {packed_s / served:.2f}s per request)")
     plain = reference.infer(images)
-    for i, (client, response) in enumerate(zip(clients, responses)):
-        result = response.result()
+    for i, (client, ticket) in enumerate(zip(clients, tickets)):
+        result = ticket.result()
         prediction = client.decrypt(result)[0]
         print(f"   user {i}: prediction={prediction} "
               f"(shared a batch of {result.packed_batch}, "
               f"matches plaintext: {prediction == plain.predictions[i]})")
-    print(f"   slot capacity: {server.scheduler.capacity} images per flush")
+    print(f"   slot capacity: {loop.capacity} images per flush")
 
     print("\n== Replica loss: failover keeps sessions and logits intact ==")
     victim = clients[0]

@@ -87,7 +87,7 @@ def _parse(argv: list[str]) -> tuple[dict[str, object], int | None]:
 
 
 def _metrics_demo(models, quantized) -> None:
-    """Exercise the serving scheduler under a benign armed fault plan.
+    """Exercise the serving loop under a benign armed fault plan.
 
     Populates the serve, fault/recovery, SGX and HE metric families in one
     short segment: a batching edge server flushes two packed batches while
@@ -99,6 +99,7 @@ def _metrics_demo(models, quantized) -> None:
     from repro.client import AttestedClient
     from repro.core import EdgeServer, PipelineSpec
     from repro.errors import EnclaveCrashed
+    from repro.serve import ServingLoop
     from repro.sgx import AttestationVerificationService
 
     spec = PipelineSpec(scheme="hybrid", poly_degree=256, batching=True)
@@ -119,14 +120,13 @@ def _metrics_demo(models, quantized) -> None:
     verifier.register_platform(server.quoting)
     client = AttestedClient(server, verifier, b"\x42" * 32).establish()
     images = models.dataset.test_images
+    loop = ServingLoop(server)
     with faults.armed(plan):
         for round_start in (0, 2):
             for i in range(round_start, round_start + 2):
-                server.scheduler.submit(
-                    "digits", client.encrypt("digits", images[i : i + 1])
-                )
-            server.scheduler.drain("digits")
-    print(f"serving segment: 4 requests in 2 packed flushes, "
+                loop.submit("digits", client.encrypt("digits", images[i : i + 1]))
+            loop.run()
+    print(f"serving segment: 4 requests in {loop.stats.flushes} packed flushes, "
           f"{plan.fires()} fault(s) fired, "
           f"{server.enclave.restarts} enclave restart(s)")
 

@@ -307,14 +307,13 @@ class AttestedClient:
         images: np.ndarray,
         *,
         pack: bool = False,
-        deadline_ms: float | None = None,
         priority: int = 1,
         slo_deadline_ms: float | None = None,
         context: TraceContext | None = None,
     ) -> InferenceRequest:
         """Encrypt and wrap ``images`` as a canonical
         :class:`~repro.serve.api.InferenceRequest` (for callers that drive
-        the scheduler or serving loop themselves).
+        the serving loop themselves).
 
         Every request carries a :class:`~repro.obs.context.TraceContext`:
         pass one explicitly, or the client derives it deterministically
@@ -328,7 +327,6 @@ class AttestedClient:
             model=model,
             ciphertext=self.encrypt(model, images),
             pack=pack,
-            deadline_ms=deadline_ms,
             priority=priority,
             slo_deadline_ms=slo_deadline_ms,
             context=context,
@@ -340,12 +338,9 @@ class AttestedClient:
         images: np.ndarray,
         *,
         pack: bool = False,
-        deadline_ms: float | None = None,
     ) -> "ServedResult":
         """Encrypt, serve, and return the (still encrypted) result."""
-        return self.server.infer(
-            self.request(model, images, pack=pack, deadline_ms=deadline_ms)
-        )
+        return self.server.infer(self.request(model, images, pack=pack))
 
     def decrypt_logits(self, result: "ServedResult") -> np.ndarray:
         self._require(SessionState.READY, "decrypt_logits")
@@ -362,8 +357,7 @@ class AttestedClient:
         images: np.ndarray,
         *,
         pack: bool = False,
-        deadline_ms: float | None = None,
     ) -> np.ndarray:
         """End-to-end: encrypted inference, decrypted argmax predictions."""
-        result = self.infer(model, images, pack=pack, deadline_ms=deadline_ms)
+        result = self.infer(model, images, pack=pack)
         return self.decrypt_logits(result).argmax(axis=1)

@@ -29,7 +29,6 @@ from repro.errors import PipelineError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.he.params import EncryptionParams
-    from repro.serve.scheduler import ServeConfig
 
 
 @runtime_checkable
@@ -96,7 +95,7 @@ class PipelineSpec:
     ``EdgeServer.from_spec`` and the benchmarks previously spread over
     positional arguments and ad-hoc keywords: the scheme, how to size (or
     which exact) FV parameters, the hot-path kernel profile, the enclave
-    fleet size, and the serving queue bounds.  Being frozen, a spec can sit
+    fleet size, and the packed-flush size.  Being frozen, a spec can sit
     in a bench baseline or a CLI flag table and be reused without aliasing.
 
     Attributes:
@@ -107,7 +106,8 @@ class PipelineSpec:
         poly_degree: degree for auto-sizing (ignored when ``params`` given).
         batching: force a batching-capable plaintext modulus when
             auto-sizing; None picks the scheme default (on for ``simd`` and
-            whenever a serving knob -- fleet size or queue bound -- is set).
+            whenever a serving knob -- fleet size or ``max_batch`` -- is
+            set).
         kernel_profile: ``"fused"`` or ``"reference"`` to install that
             hot-path profile at build time; None leaves the process profile
             untouched.
@@ -123,9 +123,8 @@ class PipelineSpec:
             Optimized execution is bit-identical to ``"off"`` -- same
             logits, same serialized ciphertext bytes, same op tallies.
         fleet_size: enclave replicas for ``EdgeServer.from_spec`` (>= 1).
-        max_queue_depth / max_batch / window_s: scheduler queue bounds; any
-            set value flows into the server's
-            :class:`~repro.serve.ServeConfig`.
+        max_batch: images per packed flush for ``EdgeServer.from_spec``
+            (None: the full CRT slot capacity).
         options: extra scheme-specific constructor options (``mode``,
             ``platform``, ``seed``, ``clock``), merged under explicit
             keywords passed to :func:`build_pipeline`.
@@ -139,9 +138,7 @@ class PipelineSpec:
     workers: int | None = None
     graph_optimizer: str | None = None
     fleet_size: int = 1
-    max_queue_depth: int | None = None
     max_batch: int | None = None
-    window_s: float | None = None
     options: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -165,23 +162,14 @@ class PipelineSpec:
                 )
         if self.fleet_size < 1:
             raise PipelineError("fleet_size must be >= 1")
-        if self.max_queue_depth is not None and self.max_queue_depth < 1:
-            raise PipelineError("max_queue_depth must be >= 1")
         if self.max_batch is not None and self.max_batch < 1:
             raise PipelineError("max_batch must be >= 1")
-        if self.window_s is not None and self.window_s < 0:
-            raise PipelineError("window_s must be >= 0")
 
     def wants_batching(self) -> bool:
         """Whether auto-sized parameters should support CRT slot packing."""
         if self.batching is not None:
             return self.batching
-        serving = (
-            self.fleet_size > 1
-            or self.max_queue_depth is not None
-            or self.max_batch is not None
-            or self.window_s is not None
-        )
+        serving = self.fleet_size > 1 or self.max_batch is not None
         return self.scheme == "simd" or serving
 
     def resolve_params(self, quantized=None) -> "EncryptionParams":
@@ -223,26 +211,6 @@ class PipelineSpec:
         from repro.graph import optimizer as graph_optimizer
 
         graph_optimizer.configure(self.graph_optimizer)
-
-    def serve_config(self) -> "ServeConfig | None":
-        """A :class:`~repro.serve.ServeConfig` from the spec's queue bounds
-        (None when no bound is set, letting server defaults apply)."""
-        if (
-            self.max_queue_depth is None
-            and self.max_batch is None
-            and self.window_s is None
-        ):
-            return None
-        from repro.serve.scheduler import ServeConfig
-
-        kwargs: dict[str, Any] = {}
-        if self.max_queue_depth is not None:
-            kwargs["max_queue_depth"] = self.max_queue_depth
-        if self.max_batch is not None:
-            kwargs["max_batch"] = self.max_batch
-        if self.window_s is not None:
-            kwargs["window_s"] = self.window_s
-        return ServeConfig(**kwargs)
 
     def build(self, quantized, **opts) -> InferencePipeline:
         """Shorthand for ``build_pipeline(self, quantized, **opts)``."""

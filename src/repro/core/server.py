@@ -25,10 +25,10 @@ optimizer level applies to served traffic.  ``fleet_size > 1`` runs N
 enclave replicas behind one facade (see :class:`~repro.faults.FleetManager`):
 replica 0 generates the HE key pair, the rest join via quote-verified
 sealed-key migration, and packed flushes fail over to a surviving replica
-on replica loss.  Load generators drive the scheduler directly via
-``server.scheduler.submit`` / ``pump`` / ``drain`` (see
-``examples/multi_user_service.py`` for the full runnable flow), or the
-event-driven :class:`~repro.serve.ServingLoop`.
+on replica loss.  Load generators queue packed traffic on the event-driven
+:class:`~repro.serve.ServingLoop`, the one serving front end (see
+``examples/multi_user_service.py`` for the full runnable flow);
+``server.scheduler`` is the packed-flush engine the loop runs.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from repro.sgx.sealing import SealedBlob
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import PipelineSpec
-    from repro.serve import RequestScheduler, ServeConfig
+    from repro.serve import RequestScheduler
 
 
 @dataclass
@@ -162,8 +162,8 @@ class EdgeServer:
         params: FV parameter set all hosted models share.
         platform: simulated SGX machine (fresh by default).
         seed: reproducible randomness for keygen and encryption.
-        serve_config: policy for the packing scheduler (defaults apply when
-            omitted); the scheduler itself is created lazily on first use.
+        max_batch: images per packed flush; ``None`` means the full CRT slot
+            capacity.  The flush engine is created lazily on first use.
         fleet_size: enclave replicas behind the facade (default 1, the
             historical single-enclave server).  Replica 0 generates the key
             pair; the rest join via quote-verified sealed-key migration, so
@@ -175,8 +175,8 @@ class EdgeServer:
         params: EncryptionParams,
         platform: SgxPlatform | None = None,
         seed: int | None = None,
-        serve_config: "ServeConfig | None" = None,
         *,
+        max_batch: int | None = None,
         fleet_size: int = 1,
     ) -> None:
         self.params = params
@@ -193,7 +193,7 @@ class EdgeServer:
         self.encoder = ScalarEncoder(self.context)
         self._models: dict[str, QuantizedCNN] = {}
         self._encoded: dict[str, heops.EncodedModel] = {}
-        self._serve_config = serve_config
+        self._max_batch = max_batch
         self._scheduler: "RequestScheduler | None" = None
         self._graph_scratch: dict = {}
 
@@ -208,7 +208,7 @@ class EdgeServer:
         """Build a server from a declarative :class:`~repro.core.pipeline.
         PipelineSpec`: parameters (exact, or auto-sized against
         ``sizing_model``), kernel profile, flush worker count, graph
-        optimizer level, fleet size and queue bounds all come from the
+        optimizer level, fleet size and packed-flush size all come from the
         spec."""
         spec.apply_kernel_profile()
         spec.apply_workers()
@@ -217,7 +217,7 @@ class EdgeServer:
             spec.resolve_params(sizing_model),
             platform=platform,
             seed=seed,
-            serve_config=spec.serve_config(),
+            max_batch=spec.max_batch,
             fleet_size=spec.fleet_size,
         )
 
@@ -372,12 +372,12 @@ class EdgeServer:
     # ------------------------------------------------------------------
     @property
     def scheduler(self) -> "RequestScheduler":
-        """The server's packing scheduler (created lazily; requires a
+        """The server's packed-flush engine (created lazily; requires a
         batching-capable parameter set)."""
         if self._scheduler is None:
             from repro.serve import RequestScheduler
 
-            self._scheduler = RequestScheduler(self, self._serve_config)
+            self._scheduler = RequestScheduler(self, self._max_batch)
         return self._scheduler
 
     def check_request(self, model_name: str, ct: Ciphertext) -> int:
@@ -439,30 +439,28 @@ class EdgeServer:
 
             server.infer(InferenceRequest(model="digits", ciphertext=ct))
             server.infer(InferenceRequest(model="digits", ciphertext=ct,
-                                          pack=True, deadline_ms=5.0))
+                                          pack=True))
 
-        ``pack=True`` routes through the slot-packing scheduler; the call
-        stays synchronous (it drains the model's bucket if the submission
-        did not already fill a batch), so concurrent callers that submitted
-        earlier ride the same flush and share its HE cost.  ``deadline_ms``
-        is the packed path's coalescing deadline in simulated milliseconds.
-        Both paths reject malformed requests with the same typed errors
-        (:meth:`check_request`).
+        ``pack=True`` runs the request as a packed flush of its own: it is
+        submitted to a fresh :class:`~repro.serve.ServingLoop` with a zero
+        coalescing window, which flushes it at once (``queue_wait_s`` is 0).
+        Traffic that should share flushes is queued on a long-lived loop
+        instead.  Both paths reject malformed requests with the same typed
+        errors (:meth:`check_request`).
         """
         if not isinstance(request, InferenceRequest):
             raise ServeError(
                 f"infer takes one InferenceRequest, got {type(request).__name__}"
             )
         if request.pack:
-            response = self.scheduler.submit(
-                request.model,
-                request.ciphertext,
-                deadline_s=request.deadline_s,
-                context=request.context,
+            from repro.serve import LoopConfig, ServingLoop
+
+            loop = ServingLoop(self, LoopConfig(window_s=0.0))
+            ticket = loop.submit(
+                request.model, request.ciphertext, context=request.context
             )
-            if not response.done():
-                self.scheduler.drain(request.model)
-            return response.result()
+            loop.run()
+            return ticket.result()
 
         self.check_request(request.model, request.ciphertext)
         return run_with_kernel_degradation(

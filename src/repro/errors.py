@@ -136,15 +136,15 @@ class UnknownModelError(ServeError, KeyError):
 
 
 class QueueFullError(ServeError):
-    """The scheduler's bounded queue rejected a request (backpressure)."""
+    """The serving loop's bounded queue shed a request (backpressure)."""
 
 
 class BatchTooLargeError(ServeError):
-    """A single request exceeds the scheduler's slot-packing capacity."""
+    """A single request exceeds the slot-packing capacity of one flush."""
 
 
 class ResponseNotReady(ServeError):
-    """A pending response was read before its batch was flushed."""
+    """A serving-loop ticket was read before its slot group was flushed."""
 
 
 class OverloadedError(ServeError):
@@ -194,10 +194,10 @@ class SessionPinError(ClientError):
 
 
 class RequestFailedError(ServeError):
-    """A scheduled request failed during its (packed) flush.
+    """A queued request failed during its packed flush.
 
-    The scheduler resolves every queued request -- a failed flush never
-    leaves a future permanently :class:`ResponseNotReady`.  ``__cause__``
+    The serving loop resolves every admitted request -- a failed flush
+    never leaves a ticket permanently :class:`ResponseNotReady`.  ``__cause__``
     carries the underlying failure (a poisoned ciphertext's
     :class:`PipelineError`, an unrecoverable :class:`RecoveryExhausted`, ...).
     """

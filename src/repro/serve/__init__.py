@@ -1,18 +1,19 @@
-"""Serving layer: slot-packed scheduling of concurrent encrypted requests.
+"""Serving layer: slot-packed serving of concurrent encrypted requests.
 
-Two front ends over the same packed-flush machinery:
+One front end over one packed-flush engine:
 
-* :mod:`repro.serve.scheduler` -- the synchronous, manually-cranked
-  coalescing scheduler (``submit``/``pump``/``drain``): requests for the
-  same model coalesce into one CRT-slot-packed hybrid pipeline pass (legal
-  because the enclave is the key authority, so every enrolled user shares
-  its key pair), with bounded-queue backpressure and typed rejections.
 * :mod:`repro.serve.loop` -- the event-driven continuous-batching serving
-  loop: a deterministic virtual-time event queue that admits open-loop
-  traffic into in-flight slot groups, sheds load off a queue-wait estimate,
-  honors priority classes, and evicts requests whose hard SLO deadlines
-  became hopeless.  :mod:`repro.serve.traffic` generates the seeded
-  open-loop traces (Poisson + bursty) that drive it.
+  loop, the only way a packed request is queued: a deterministic
+  virtual-time event queue that admits open-loop traffic into in-flight
+  slot groups, sheds load off a queue-wait estimate, honors priority
+  classes, and evicts requests whose hard SLO deadlines became hopeless.
+  :mod:`repro.serve.traffic` generates the seeded open-loop traces
+  (Poisson + bursty) that drive it.
+* :mod:`repro.serve.scheduler` -- the flush engine the loop calls: one
+  CRT-slot-packed hybrid pipeline pass per slot group (legal because the
+  enclave is the key authority, so every enrolled user shares its key
+  pair), with typed validation, per-request isolation and replica
+  failover.
 """
 
 from repro.serve.api import InferenceRequest, InferenceResult
@@ -25,9 +26,7 @@ from repro.serve.loop import (
 )
 from repro.serve.scheduler import (
     PACKED_SCHEME,
-    PendingResponse,
     RequestScheduler,
-    ServeConfig,
     ServeStats,
 )
 from repro.serve.traffic import (
@@ -46,9 +45,7 @@ __all__ = [
     "LoopConfig",
     "LoopStats",
     "LoopTicket",
-    "PendingResponse",
     "RequestScheduler",
-    "ServeConfig",
     "ServeStats",
     "ServiceTimeModel",
     "ServingLoop",

@@ -1,14 +1,12 @@
 """The serving request/response API: one frozen request, one result type.
 
-``EdgeServer.infer`` grew a keyword soup over six PRs -- ``pack=``,
-``deadline_ms=``, plus the loop-only knobs (priority, SLO deadline) that
-could not be expressed through the facade at all.  This module collapses
-that surface into two types:
+``EdgeServer.infer`` once took a soup of serving keywords, and the loop-only
+knobs (priority, SLO deadline) could not be expressed through the facade at
+all.  This module collapses that surface into two types:
 
 * :class:`InferenceRequest` -- a frozen, validated description of one
   encrypted inference: which model, which ciphertext, and the serving
-  policy riding along (packing, coalescing deadline, priority class, hard
-  SLO deadline).  Frozen so a request can be routed, retried across
+  policy riding along (packing, priority class, hard SLO deadline).  Frozen so a request can be routed, retried across
   replicas, or re-dispatched after a failover without aliasing surprises.
 * :class:`InferenceResult` -- what the server hands back: *encrypted*
   logits plus timing and serving metadata (request id, packed batch size,
@@ -17,9 +15,10 @@ that surface into two types:
   as an alias in :mod:`repro.core.server` so existing callers and
   ``isinstance`` checks keep working.
 
-Both the synchronous facade (``EdgeServer.infer(request)``), the serving
-loop (``ServingLoop.submit_request``) and the client SDK
-(:mod:`repro.client`) speak these types.
+The synchronous facade (``EdgeServer.infer(request)``) and the client SDK
+(:mod:`repro.client`) speak these types; the serving loop
+(``ServingLoop.submit``) takes a request's fields as keywords and resolves
+its ticket with an :class:`InferenceResult`.
 """
 
 from __future__ import annotations
@@ -43,11 +42,8 @@ class InferenceRequest:
         model: a provisioned model name.
         ciphertext: scalar-encoded ``(B, C, H, W)`` pixel ciphertext from
             the user's session (``UserSession.encrypt`` or the client SDK).
-        pack: route through the slot-packing scheduler (the synchronous
-            facade drains the bucket, so the call still returns a result).
-        deadline_ms: coalescing deadline in simulated milliseconds for the
-            packed path (requires ``pack=True``; the scheduler's
-            ``window_s`` applies when None).
+        pack: run as a slot-packed flush (the synchronous facade flushes
+            the request at once, so the call still returns a result).
         priority: class ``0`` (interactive) .. ``priority_classes - 1``;
             only meaningful to the event-driven serving loop.
         slo_deadline_ms: optional hard deadline (milliseconds after
@@ -62,7 +58,6 @@ class InferenceRequest:
     model: str
     ciphertext: "Ciphertext"
     pack: bool = False
-    deadline_ms: float | None = None
     priority: int = 1
     slo_deadline_ms: float | None = None
     context: TraceContext | None = None
@@ -72,18 +67,10 @@ class InferenceRequest:
             raise ServeError("InferenceRequest.model must be a non-empty string")
         if self.context is not None and not isinstance(self.context, TraceContext):
             raise ServeError("InferenceRequest.context must be a TraceContext")
-        if self.deadline_ms is not None and not self.pack:
-            raise ServeError("deadline_ms is only meaningful with pack=True")
-        if self.deadline_ms is not None and self.deadline_ms < 0:
-            raise ServeError("deadline_ms must be >= 0")
         if self.priority < 0:
             raise ServeError("priority must be >= 0")
         if self.slo_deadline_ms is not None and self.slo_deadline_ms <= 0:
             raise ServeError("slo_deadline_ms must be > 0")
-
-    @property
-    def deadline_s(self) -> float | None:
-        return None if self.deadline_ms is None else self.deadline_ms / 1000.0
 
     @property
     def slo_deadline_s(self) -> float | None:
@@ -94,9 +81,9 @@ class InferenceRequest:
 class InferenceResult:
     """What the server returns: *encrypted* logits plus serving metadata.
 
-    Requests served through the packing scheduler additionally carry their
-    serving metadata: ``request_id``, the total ``packed_batch`` they
-    shared slots with, the simulated seconds spent coalescing
+    Requests served as packed flushes additionally carry their serving
+    metadata: ``request_id``, the total ``packed_batch`` they
+    shared slots with, the loop seconds spent coalescing
     (``queue_wait_s``), and the fleet ``replica`` whose enclave executed
     the flush.  Direct ``infer`` calls leave these at defaults.
     """

@@ -1,11 +1,8 @@
 """Event-driven continuous-batching serving loop for the edge server.
 
-:class:`~repro.serve.scheduler.RequestScheduler` gave the edge server slot
-packing, but it is *manually cranked*: somebody must call ``pump()`` for
-deadlines to mean anything, there is no admission control, and nothing
-answers "what p99 queue wait do a thousand open-loop users see?".  This
-module is the missing front end -- a deterministic discrete-event serving
-loop that owns the full request lifecycle:
+The edge server's one serving front end for slot-packed traffic: a
+deterministic discrete-event loop that owns the full request lifecycle,
+from arrival to the delivery of each request's slice of a packed flush:
 
 * **Event queue.**  Arrivals, per-request deadline timers, flush
   completions and completion watchdogs live in one heap ordered by
@@ -19,8 +16,8 @@ loop that owns the full request lifecycle:
 * **Continuous batching.**  While one packed flush is in flight, arrivals
   keep admitting into the next slot group; the moment a flush completes,
   any group that is full -- or whose oldest coalescing deadline has
-  expired -- flushes immediately, with no external ``pump()`` and no
-  fresh coalescing window imposed on requests that already waited.
+  expired -- flushes immediately, with no fresh coalescing window imposed
+  on requests that already waited.
 * **Admission control.**  Every arrival gets a queue-wait *estimate*
   (in-flight remainder plus backlog flushes ahead of it, via the
   :class:`ServiceTimeModel`), not just a depth check.  Estimates past the
@@ -37,15 +34,14 @@ loop that owns the full request lifecycle:
 * **Fault sites.**  ``serve.loop.timer`` (timer storms: duplicated
   deadline timers must dispatch as no-ops) and ``serve.loop.flush_done``
   (a lost completion event: the always-armed watchdog re-delivers the
-  finished flush's results).  Both compose with the scheduler-level
+  finished flush's results).  Both compose with the flush engine's
   isolation chaos from DESIGN.md §11.
 
-The actual HE work rides the scheduler's shared
-:meth:`~repro.serve.scheduler.RequestScheduler.run_batch` flush path, so
-everything the chaos suite proves about packed flushes -- per-request
-isolation, kernel degradation, typed failure of poisoned requests -- holds
-unchanged under the loop, and predictions stay bit-identical to the
-synchronous scheduler and the plaintext reference.
+The actual HE work runs in the flush engine,
+:meth:`~repro.serve.scheduler.RequestScheduler.run_batch`: per-request
+isolation, kernel degradation, replica failover and typed failure of
+poisoned requests all happen there, and predictions stay bit-identical to
+direct serving and the plaintext reference.
 """
 
 from __future__ import annotations
@@ -57,18 +53,18 @@ from typing import TYPE_CHECKING
 
 from repro import faults
 from repro.errors import (
-    BatchTooLargeError,
     DeadlineEvictedError,
+    KeyMismatchError,
     OverloadedError,
     QueueFullError,
+    ResponseNotReady,
     ServeError,
 )
 from repro.obs import metrics, recorder
 from repro.obs.context import TraceContext
-from repro.serve.scheduler import PendingResponse, _QueuedRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.server import EdgeServer
+    from repro.core.server import EdgeServer, ServedResult
     from repro.he.context import Ciphertext
     from repro.serve.scheduler import RequestScheduler
     from repro.serve.traffic import Arrival
@@ -114,6 +110,13 @@ def _m_recovered():
         "repro_serve_loop_recovered_completions_total",
         "Flush completions delivered by the watchdog after the completion "
         "event was lost.",
+    )
+
+
+def _m_queue_depth():
+    return metrics.registry().gauge(
+        "repro_serve_queue_depth",
+        "Queued (unflushed) requests across all models.",
     )
 
 
@@ -232,18 +235,19 @@ class LoopStats:
     peak_queue_depth: int = 0
 
 
-class LoopTicket(PendingResponse):
+class LoopTicket:
     """A request's future under the serving loop.
 
-    Extends :class:`~repro.serve.scheduler.PendingResponse` with the
-    open-loop metadata the SLO bench aggregates.  Terminal states: a
-    :class:`~repro.core.server.ServedResult`, or one typed error --
+    Carries the open-loop metadata the SLO bench aggregates.  Terminal
+    states: a :class:`~repro.core.server.ServedResult` (still encrypted --
+    only the user's session can decrypt it), or one typed error --
     ``OverloadedError`` / ``QueueFullError`` (shed at admission),
     ``DeadlineEvictedError`` (evicted from the queue),
-    ``RequestFailedError`` (its flush died), or the scheduler's validation
-    errors.  A ticket never resolves twice and never hangs: every admitted
-    request is owned by exactly one queue entry or in-flight flush, each of
-    which delivers exactly one outcome.
+    ``RequestFailedError`` (its flush died), or the validation errors of
+    :meth:`~repro.serve.scheduler.RequestScheduler.validate_request`.  A
+    ticket never resolves twice and never hangs: every admitted request is
+    owned by exactly one queue entry or in-flight flush, each of which
+    delivers exactly one outcome.
     """
 
     def __init__(
@@ -256,7 +260,8 @@ class LoopTicket(PendingResponse):
         user_id: int | None,
         image_index: int | None,
     ) -> None:
-        super().__init__(request_id, model)
+        self.request_id = request_id
+        self.model = model
         self.arrival_s = arrival_s
         self.priority = priority
         self.user_id = user_id
@@ -266,6 +271,11 @@ class LoopTicket(PendingResponse):
         self.shed_reason: str | None = None
         self.queue_wait_s: float | None = None
         self.completed_at_s: float | None = None
+        self._result: "ServedResult | None" = None
+        self._error: BaseException | None = None
+
+    def done(self) -> bool:
+        return self._result is not None or self._error is not None
 
     @property
     def served(self) -> bool:
@@ -275,19 +285,46 @@ class LoopTicket(PendingResponse):
     def error(self) -> BaseException | None:
         return self._error
 
+    def result(self) -> "ServedResult":
+        """The served result, or the ticket's typed error raised.
+
+        Raises:
+            ResponseNotReady: the request has not been flushed yet -- run
+                the loop (:meth:`ServingLoop.run`) until it resolves.
+        """
+        if self._error is not None:
+            raise self._error
+        if self._result is None:
+            raise ResponseNotReady(
+                f"request {self.request_id} ({self.model!r}) is still queued; "
+                "run the serving loop to flush its slot group"
+            )
+        return self._result
+
+    def _resolve(self, result: "ServedResult") -> None:
+        self._result = result
+
+    def _fail(self, error: BaseException) -> None:
+        self._error = error
+
 
 @dataclass
 class _Admitted:
-    """One admitted request waiting in a model's slot group."""
+    """One admitted request: queued in a model's slot group, then handed
+    as-is to :meth:`~repro.serve.scheduler.RequestScheduler.run_batch`."""
 
     ticket: LoopTicket
     ct: "Ciphertext"
-    images: int
+    batch: int
     admitted_at: float
     flush_by: float
     slo_deadline_at: float | None
     depth_at_entry: int
     context: "TraceContext | None" = None
+
+    @property
+    def request_id(self) -> int:
+        return self.ticket.request_id
 
     def sort_key(self) -> tuple:
         # Priority class first, then FIFO within a class.
@@ -312,9 +349,9 @@ class ServingLoop:
     """Deterministic event-driven continuous-batching front end.
 
     Args:
-        server: the :class:`~repro.core.server.EdgeServer` whose scheduler
-            executes the packed flushes (its ``ServeConfig.max_batch``
-            bounds the slot group size).
+        server: the :class:`~repro.core.server.EdgeServer` whose flush
+            engine (``server.scheduler``) executes the packed flushes; the
+            server's ``max_batch`` bounds the slot group size.
         config: loop policy (a default :class:`LoopConfig` if None).
 
     Drive it either programmatically (:meth:`submit` then :meth:`run`) or
@@ -354,7 +391,7 @@ class ServingLoop:
         return sum(len(bucket) for bucket in self._queues.values())
 
     def pending_images(self, model: str) -> int:
-        return sum(r.images for r in self._queues.get(model, ()))
+        return sum(r.batch for r in self._queues.get(model, ()))
 
     # ------------------------------------------------------------------
     # fleet awareness
@@ -560,6 +597,7 @@ class ServingLoop:
             )
         )
         self.stats.evicted += 1
+        _m_queue_depth().set(self.queue_depth)
         _m_evicted().labels(
             model=record.ticket.model, priority=record.ticket.priority
         ).inc()
@@ -598,12 +636,7 @@ class ServingLoop:
         self.stats.arrivals += 1
         try:
             images = self.scheduler.validate_request(ticket.model, ct)
-            if images > self.capacity:
-                raise BatchTooLargeError(
-                    f"request of {images} images exceeds the loop's slot "
-                    f"group capacity {self.capacity}"
-                )
-        except ServeError as exc:
+        except (ServeError, KeyMismatchError) as exc:
             self.stats.rejected += 1
             ticket.shed_reason = "rejected"
             ticket._fail(exc)
@@ -639,7 +672,7 @@ class ServingLoop:
         record = _Admitted(
             ticket=ticket,
             ct=ct,
-            images=images,
+            batch=images,
             admitted_at=self.now_s,
             flush_by=self.now_s + window,
             slo_deadline_at=(
@@ -652,6 +685,7 @@ class ServingLoop:
         ticket.admitted = True
         self.stats.admitted += 1
         self.stats.peak_queue_depth = max(self.stats.peak_queue_depth, self.queue_depth)
+        _m_queue_depth().set(self.queue_depth)
         _m_admitted().labels(model=ticket.model, priority=ticket.priority).inc()
         recorder.record(
             "serve.admit",
@@ -731,11 +765,11 @@ class ServingLoop:
         selected: list[_Admitted] = []
         images = 0
         for record in list(bucket):
-            if images + record.images > self.capacity:
+            if images + record.batch > self.capacity:
                 continue
             selected.append(record)
             bucket.remove(record)
-            images += record.images
+            images += record.batch
             if images >= self.capacity:
                 break
         return selected
@@ -747,7 +781,7 @@ class ServingLoop:
         if not self.config.evict_on_deadline:
             return
         bucket = self._queues.get(model, [])
-        pending = sum(r.images for r in bucket)
+        pending = sum(r.batch for r in bucket)
         next_flush_s = self.config.service_model.flush_s(
             min(max(pending, 1), self.capacity)
         )
@@ -777,26 +811,13 @@ class ServingLoop:
                 return
             if self._inflight and replica is None:
                 return
-        selected = self._select_group(model)
-        if not selected:
+        requests = self._select_group(model)
+        if not requests:
             return
+        _m_queue_depth().set(self.queue_depth)
         started_at = self.now_s
-        images = sum(r.images for r in selected)
-        requests = [
-            _QueuedRequest(
-                request_id=r.ticket.request_id,
-                model=model,
-                ct=r.ct,
-                batch=r.images,
-                enqueued_at=r.admitted_at,
-                deadline_at=r.flush_by,
-                queue_depth_at_submit=r.depth_at_entry,
-                response=r.ticket,
-                context=r.context,
-            )
-            for r in selected
-        ]
-        for r in selected:
+        images = sum(r.batch for r in requests)
+        for r in requests:
             r.ticket.queue_wait_s = started_at - r.admitted_at
         self._generation += 1
         generation = self._generation
@@ -810,11 +831,11 @@ class ServingLoop:
             images=images,
             request_ids=[r.request_id for r in requests],
         )
-        # Real HE execution happens here, at flush start, through the
-        # scheduler's shared isolation-hardened path; delivery of the
-        # outcomes waits for the (virtual) completion event.  The scheduler
-        # may fail the batch over to a survivor mid-flush, so the replica
-        # recorded as busy is the one that actually served it.
+        # Real HE execution happens here, at flush start, through the flush
+        # engine's isolation-hardened path; delivery of the outcomes waits
+        # for the (virtual) completion event.  The engine may fail the
+        # batch over to a survivor mid-flush, so the replica recorded as
+        # busy is the one that actually served it.
         outcomes = self.scheduler.run_batch(
             model, requests, flushed_at=started_at, replica=replica,
             generation=generation,
@@ -881,7 +902,7 @@ class ServingLoop:
         fl.delivered = True
         served = failed = 0
         for request, outcome in fl.outcomes:
-            ticket: LoopTicket = request.response
+            ticket = request.ticket
             ticket.completed_at_s = self.now_s
             if isinstance(outcome, BaseException):
                 ticket._fail(outcome)

@@ -1,4 +1,4 @@
-"""Slot-packed request scheduling: the edge server's serving layer.
+"""The packed-flush engine under :class:`~repro.serve.loop.ServingLoop`.
 
 The paper's deployment story (Sections IV + VII) is one SGX edge node
 serving many enrolled users, yet a naive facade runs one hybrid pipeline
@@ -7,37 +7,31 @@ HE cost.  CRT slot packing (Section VIII) is the throughput lever: up to
 ``n`` images can ride the slots of each pixel-position ciphertext, making
 the encrypted CNN's cost independent of how many requests share the batch.
 
-This scheduler turns that lever into a serving discipline:
+The serving loop owns queueing, coalescing and admission; this module runs
+the slot groups it flushes:
 
-* **Coalescing.**  Concurrent requests for the same model accumulate in a
-  per-model bucket and are flushed as ONE slot-packed pipeline pass when the
-  bucket reaches slot capacity, when the oldest request's deadline expires
-  (:meth:`RequestScheduler.pump`), or on explicit
-  :meth:`~RequestScheduler.drain`.
 * **Legality.**  Cross-user packing is sound in this deployment because the
   enclave is the HE key authority (Section IV-A): every enrolled user holds
   the same key pair, so their ciphertexts are mutually compatible.  The
   actual re-layout (scalar batch -> slots, and back) happens inside the
   enclave (:meth:`InferenceEnclave.pack_slots` / ``unpack_slots``) -- the
   host never sees a pixel or logit in the clear.
-* **Backpressure.**  The queue is bounded; a full queue rejects new work
-  with :class:`~repro.errors.QueueFullError` instead of buffering without
-  limit.  Unknown models and requests larger than the packing capacity are
-  likewise rejected up front with typed errors.
+* **Typed rejections.**  Unknown models, malformed ciphertexts and requests
+  larger than the packing capacity are rejected before they queue
+  (:meth:`RequestScheduler.validate_request`).
+* **Isolation and failover.**  A flush that dies re-runs each request on
+  its own, and a lost fleet replica fails the batch over to a survivor, so
+  every request comes back with a result or a typed error.
 * **Observability.**  Every flush emits an ``EdgeServer/PackedServe``
   pipeline span (pack -> conv -> sgx_activation_pool -> fc -> unpack) plus
   one ``serve/request`` child span per request carrying its queue wait and
-  the queue depth it observed at submit, all on the platform's
+  the queue depth it observed on admission, all on the platform's
   :class:`~repro.obs.Tracer`.
-
-Timing is in *simulated* seconds (:class:`~repro.sgx.clock.SimClock`), the
-repository's timing currency -- deadlines are therefore deterministic and
-testable without real sleeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -47,10 +41,8 @@ from repro.core.results import InferenceResult, stages_from_trace
 from repro.errors import (
     BatchTooLargeError,
     EnclaveNotInitialized,
-    QueueFullError,
     RecoveryExhausted,
     RequestFailedError,
-    ResponseNotReady,
     ServeError,
     UnknownModelError,
 )
@@ -60,27 +52,19 @@ from repro.he import parallel
 from repro.he.context import Ciphertext
 from repro.obs import metrics, recorder
 from repro.obs import context as obs_context
-from repro.obs.context import TraceContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.server import EdgeServer, ServedResult
+    from repro.serve.loop import _Admitted
 
 #: Scheme label stamped on packed-flush traces and results.
 PACKED_SCHEME = "EdgeServer/PackedServe"
 
 
-def _m_requests():
-    return metrics.registry().counter(
-        "repro_serve_requests_total",
-        "Requests accepted into the scheduler queue.",
-        ("model",),
-    )
-
-
 def _m_rejected():
     return metrics.registry().counter(
         "repro_serve_rejected_total",
-        "Requests rejected at submit (queue_full is the backpressure signal).",
+        "Requests rejected by validation before they queue, by reason.",
         ("reason",),
     )
 
@@ -119,45 +103,11 @@ def _m_occupancy():
     )
 
 
-def _m_queue_depth():
-    return metrics.registry().gauge(
-        "repro_serve_queue_depth",
-        "Queued (unflushed) requests across all models.",
-    )
-
-
-@dataclass
-class ServeConfig:
-    """Scheduler policy knobs.
-
-    Attributes:
-        max_queue_depth: bound on queued (unflushed) requests across all
-            models; submissions beyond it raise
-            :class:`~repro.errors.QueueFullError`.
-        max_batch: images per packed flush; ``None`` means the full CRT slot
-            capacity (the parameter set's polynomial degree).
-        window_s: default coalescing deadline in simulated seconds for
-            requests that do not specify one.
-    """
-
-    max_queue_depth: int = 64
-    max_batch: int | None = None
-    window_s: float = 0.025
-
-    def __post_init__(self) -> None:
-        if self.max_queue_depth < 1:
-            raise ServeError("max_queue_depth must be >= 1")
-        if self.max_batch is not None and self.max_batch < 1:
-            raise ServeError("max_batch must be >= 1 (or None for slot capacity)")
-        if self.window_s < 0:
-            raise ServeError("window_s must be >= 0")
-
-
 @dataclass
 class ServeStats:
-    """Monotonic counters a load generator or test can read off."""
+    """Monotonic flush-engine counters (queueing is counted by
+    :class:`~repro.serve.loop.LoopStats`)."""
 
-    submitted: int = 0
     served: int = 0
     failed: int = 0
     flushes: int = 0
@@ -165,124 +115,51 @@ class ServeStats:
     isolations: int = 0
     isolated_requests: int = 0
     packed_images: int = 0
-    rejected_queue_full: int = 0
     rejected_oversized: int = 0
     rejected_unknown_model: int = 0
     rejected_malformed: int = 0
-    peak_queue_depth: int = 0
-
-
-class PendingResponse:
-    """Future-like handle for one submitted request.
-
-    Resolves when the request's batch is flushed; :meth:`result` then
-    returns the per-request :class:`~repro.core.server.ServedResult` (still
-    encrypted -- only the user's session can decrypt it).
-    """
-
-    def __init__(self, request_id: int, model: str) -> None:
-        self.request_id = request_id
-        self.model = model
-        self._result: "ServedResult | None" = None
-        self._error: BaseException | None = None
-
-    def done(self) -> bool:
-        return self._result is not None or self._error is not None
-
-    def result(self) -> "ServedResult":
-        """The served result.
-
-        Raises:
-            ResponseNotReady: the batch has not been flushed yet -- advance
-                the scheduler with ``pump()`` or force it with ``drain()``.
-        """
-        if self._error is not None:
-            raise self._error
-        if self._result is None:
-            raise ResponseNotReady(
-                f"request {self.request_id} ({self.model!r}) is still queued; "
-                "call pump() or drain() to flush its batch"
-            )
-        return self._result
-
-    def _resolve(self, result: "ServedResult") -> None:
-        self._result = result
-
-    def _fail(self, error: BaseException) -> None:
-        self._error = error
-
-
-@dataclass
-class _QueuedRequest:
-    request_id: int
-    model: str
-    ct: Ciphertext
-    batch: int
-    enqueued_at: float
-    deadline_at: float
-    queue_depth_at_submit: int
-    response: PendingResponse
-    context: TraceContext | None = None
 
 
 class RequestScheduler:
-    """Coalesces encrypted requests into slot-packed hybrid pipeline passes.
+    """The packed-flush engine: runs one slot-packed hybrid pass over a
+    group of requests the :class:`~repro.serve.loop.ServingLoop` queued.
 
     Args:
         server: the :class:`~repro.core.server.EdgeServer` whose models,
             evaluator and enclave serve the batches.  Its parameter set must
             support CRT batching
             (``parameters_for_pipeline(..., batching=True)``).
-        config: scheduling policy (a default :class:`ServeConfig` if None).
+        max_batch: images per packed flush; ``None`` means the full CRT slot
+            capacity (the parameter set's polynomial degree).
 
     Raises:
-        ServeError: the server's plaintext modulus cannot batch.
+        ServeError: the server's plaintext modulus cannot batch, or
+            ``max_batch < 1``.
     """
 
-    def __init__(self, server: "EdgeServer", config: ServeConfig | None = None) -> None:
+    def __init__(self, server: "EdgeServer", max_batch: int | None = None) -> None:
         if not server.params.supports_batching():
             raise ServeError(
                 "slot-packed serving needs a batching plaintext modulus; build "
                 "the server's parameters with "
                 "parameters_for_pipeline(..., batching=True)"
             )
+        if max_batch is not None and max_batch < 1:
+            raise ServeError("max_batch must be >= 1 (or None for slot capacity)")
         self.server = server
-        self.config = config if config is not None else ServeConfig()
         self.slot_count = server.params.poly_degree
         self.capacity = (
-            self.slot_count
-            if self.config.max_batch is None
-            else min(self.config.max_batch, self.slot_count)
+            self.slot_count if max_batch is None else min(max_batch, self.slot_count)
         )
         self.stats = ServeStats()
-        self._queues: dict[str, list[_QueuedRequest]] = {}
-        self._next_id = 0
 
-    # ------------------------------------------------------------------
-    # queue state
-    # ------------------------------------------------------------------
-    @property
-    def queue_depth(self) -> int:
-        """Queued (unflushed) requests across all models."""
-        return sum(len(bucket) for bucket in self._queues.values())
-
-    def pending_images(self, model_name: str) -> int:
-        """Images currently coalescing for ``model_name``."""
-        return sum(r.batch for r in self._queues.get(model_name, ()))
-
-    # ------------------------------------------------------------------
-    # request intake
-    # ------------------------------------------------------------------
     def validate_request(self, model_name: str, ct: Ciphertext) -> int:
-        """Typed request validation shared by :meth:`submit` and the
-        event-driven :class:`~repro.serve.loop.ServingLoop`: the server's
-        :meth:`~repro.core.server.EdgeServer.check_request` (the same checks
-        direct requests get) plus the packing capacity.
+        """Typed request validation the serving loop runs on every arrival:
+        the server's :meth:`~repro.core.server.EdgeServer.check_request`
+        (the same checks direct requests get) plus the packing capacity.
 
         Every rejection increments the matching :class:`ServeStats` counter
-        and the ``repro_serve_rejected_total`` family before raising, so
-        rejection accounting is complete no matter which front end admitted
-        the request.
+        and the ``repro_serve_rejected_total`` family before raising.
 
         Returns:
             the request's image count (its batch dimension).
@@ -312,150 +189,24 @@ class RequestScheduler:
             )
         return batch
 
-    def submit(
-        self,
-        model_name: str,
-        ct: Ciphertext,
-        *,
-        deadline_s: float | None = None,
-        context: TraceContext | None = None,
-    ) -> PendingResponse:
-        """Enqueue one encrypted request; flushes immediately if it fills
-        the model's packing capacity.
-
-        Args:
-            model_name: a provisioned model.
-            ct: scalar-encoded ``(B, C, H, W)`` ciphertext (the same shape
-                :meth:`EdgeServer.infer` takes); usually ``B == 1``.
-            deadline_s: per-request coalescing deadline in simulated seconds
-                (the config's ``window_s`` if None); ``pump()`` flushes the
-                batch once it expires.
-            context: trace context naming the request in the process-wide
-                trace tree; when None a deterministic fallback is derived
-                from the request id, so every flush span is attributable.
-
-        Raises:
-            UnknownModelError: ``model_name`` was never provisioned.
-            BatchTooLargeError: the request alone exceeds the capacity.
-            QueueFullError: the bounded queue is at ``max_queue_depth``.
-            ServeError: the ciphertext is not a 4-D pixel batch for this
-                model.
-        """
-        batch = self.validate_request(model_name, ct)
-        # The depth this request actually observed on arrival: captured once
-        # at entry, before any capacity-triggered early flush below can
-        # empty the bucket out from under it.
-        depth_at_entry = self.queue_depth
-        if depth_at_entry >= self.config.max_queue_depth:
-            self.stats.rejected_queue_full += 1
-            _m_rejected().labels(reason="queue_full").inc()
-            raise QueueFullError(
-                f"queue is at its bound of {self.config.max_queue_depth} "
-                "requests; drain or retry later"
-            )
-
-        # A request that would overflow the open batch closes it first, so
-        # earlier requests are never starved past capacity.
-        if self.pending_images(model_name) + batch > self.capacity:
-            self._flush_model(model_name)
-
-        clock = self.server.platform.clock
-        window = self.config.window_s if deadline_s is None else deadline_s
-        response = PendingResponse(self._next_id, model_name)
-        if context is None:
-            context = TraceContext.derive(
-                f"scheduler:{model_name}", self._next_id,
-                parent_id=f"scheduler/submit-{self._next_id}",
-            )
-        request = _QueuedRequest(
-            request_id=self._next_id,
-            model=model_name,
-            ct=ct,
-            batch=batch,
-            enqueued_at=clock.now_s,
-            deadline_at=clock.now_s + window,
-            queue_depth_at_submit=depth_at_entry,
-            response=response,
-            context=context,
-        )
-        self._next_id += 1
-        self._queues.setdefault(model_name, []).append(request)
-        self.stats.submitted += 1
-        self.stats.peak_queue_depth = max(self.stats.peak_queue_depth, self.queue_depth)
-        _m_requests().labels(model=model_name).inc()
-        _m_queue_depth().set(self.queue_depth)
-        if self.pending_images(model_name) >= self.capacity:
-            self._flush_model(model_name)
-        return response
-
-    # ------------------------------------------------------------------
-    # flushing
-    # ------------------------------------------------------------------
-    def pump(self) -> int:
-        """Flush every bucket whose oldest deadline has expired on the
-        simulated clock; returns the number of requests served."""
-        now = self.server.platform.clock.now_s
-        served = 0
-        for model_name in list(self._queues):
-            bucket = self._queues.get(model_name)
-            if bucket and min(r.deadline_at for r in bucket) <= now + 1e-12:
-                served += self._flush_model(model_name)
-        return served
-
-    def drain(self, model_name: str | None = None) -> int:
-        """Flush everything queued (or one model's bucket) regardless of
-        deadlines; returns the number of requests served."""
-        served = 0
-        targets = [model_name] if model_name is not None else list(self._queues)
-        for name in targets:
-            if self._queues.get(name):
-                served += self._flush_model(name)
-        return served
-
-    def _flush_model(self, model_name: str) -> int:
-        """Run one slot-packed hybrid pass over a model's queued requests
-        and resolve each request with its slice of the encrypted logits.
-
-        Never raises and never leaves a request queued: the bucket is popped
-        up front, and a flush that dies resolves *every* popped request --
-        either by re-running it in isolation (one poisoned request must not
-        sink the batch) or by failing it with a causal
-        :class:`~repro.errors.RequestFailedError`.  A permanently stuck
-        :class:`~repro.errors.ResponseNotReady` is therefore impossible.
-        """
-        requests = self._queues.pop(model_name, [])
-        if not requests:
-            return 0
-        served = 0
-        for request, outcome in self.run_batch(model_name, requests):
-            if isinstance(outcome, BaseException):
-                request.response._fail(outcome)
-            else:
-                request.response._resolve(outcome)
-                served += 1
-        _m_queue_depth().set(self.queue_depth)
-        return served
-
     def run_batch(
         self,
         model_name: str,
-        requests: "list[_QueuedRequest]",
+        requests: "list[_Admitted]",
         *,
-        flushed_at: float | None = None,
+        flushed_at: float,
         replica: int | None = None,
         generation: int | None = None,
-    ) -> "list[tuple[_QueuedRequest, ServedResult | BaseException]]":
+    ) -> "list[tuple[_Admitted, ServedResult | BaseException]]":
         """Execute one packed flush over ``requests`` and account for it.
 
-        The execution half of :meth:`_flush_model`, shared with the
-        event-driven :class:`~repro.serve.loop.ServingLoop`: runs the packed
-        pass under kernel degradation, falls back to per-request isolation
-        when the pass dies, and records the flush/latency/occupancy stats
-        and metrics -- but touches no queue state and resolves no response.
+        Runs the packed pass under kernel degradation, falls back to
+        per-request isolation when the pass dies, and records the
+        flush/latency/occupancy stats and metrics -- but resolves no ticket.
         Each request comes back paired with either its
         :class:`~repro.core.server.ServedResult` or the typed
         :class:`~repro.errors.RequestFailedError` to fail it with; the
-        caller decides when to deliver them.
+        serving loop decides when to deliver them.
 
         When the server runs an enclave fleet, the flush executes on one
         replica (``replica``, or the fleet's least-loaded pick).  Replica
@@ -467,13 +218,12 @@ class RequestScheduler:
         survivor remains does the flush fall back to per-request isolation.
 
         Args:
-            flushed_at: timestamp (in the caller's timing currency) that
-                queue waits are measured against; defaults to the simulated
-                clock, which is what the synchronous scheduler path wants.
+            flushed_at: the loop time of the flush, which queue waits are
+                measured against.
             replica: fleet replica to execute on (the serving loop routes
                 explicitly; None lets the fleet pick least-loaded).
             generation: the serving loop's flush generation, stamped on the
-                flush trace and recorder events (None outside the loop).
+                flush trace.
         """
         tracer = self.server.platform.tracer
         clock = self.server.platform.clock
@@ -530,9 +280,9 @@ class RequestScheduler:
                         "after replica loss.",
                         ("model",),
                     ).labels(model=model_name).inc()
-                # Satellite fix: retries are accounted under their own
-                # counter -- the latency histogram below observes each
-                # resolved request exactly once, never once per attempt.
+                # Retries are accounted under their own counter -- the
+                # latency histogram below observes each resolved request
+                # exactly once, never once per attempt.
                 self.stats.retried_requests += len(requests)
                 _m_retried().labels(model=model_name).inc(len(requests))
                 recorder.record(
@@ -571,12 +321,12 @@ class RequestScheduler:
     def _isolate(
         self,
         model_name: str,
-        requests: "list[_QueuedRequest]",
+        requests: "list[_Admitted]",
         exc: BaseException,
         *,
-        flushed_at: float | None = None,
+        flushed_at: float,
         replica: int | None = None,
-    ) -> "list[tuple[_QueuedRequest, ServedResult | BaseException]]":
+    ) -> "list[tuple[_Admitted, ServedResult | BaseException]]":
         """Recover from a dead packed flush by re-running each request as
         its own single-request pass; requests that still fail map to a typed
         :class:`~repro.errors.RequestFailedError` chaining the underlying
@@ -599,7 +349,7 @@ class RequestScheduler:
             requests=len(requests),
             error=type(exc).__name__,
         )
-        outcomes: "list[tuple[_QueuedRequest, ServedResult | BaseException]]" = []
+        outcomes: "list[tuple[_Admitted, ServedResult | BaseException]]" = []
         with tracer.span(
             "recovery/request_isolation",
             kind="span",
@@ -658,22 +408,18 @@ class RequestScheduler:
     def _run_packed(
         self,
         model_name: str,
-        requests: list[_QueuedRequest],
+        requests: "list[_Admitted]",
         *,
-        flushed_at: float | None = None,
+        flushed_at: float,
         replica: int | None = None,
         generation: int | None = None,
     ) -> "list[ServedResult]":
         """One slot-packed pipeline pass; returns one result per request.
 
-        Pure with respect to scheduler state -- no queue or stats mutation,
-        no response resolution -- so callers may retry it safely.
-
-        ``flushed_at`` overrides the flush timestamp queue waits are
-        measured against: the serving loop passes its event-queue time so
-        waits come out in the loop's deterministic virtual currency, while
-        the default (the simulated clock) keeps the synchronous scheduler
-        path bit-identical to its historical behavior.
+        Pure with respect to scheduler state -- no stats mutation, no ticket
+        resolution -- so callers may retry it safely.  Queue waits are
+        ``flushed_at`` minus each request's admission time, both on the
+        loop's deterministic virtual timeline.
 
         ``replica`` selects which fleet replica's supervised enclave runs
         the enclave stages (the fleet authority when None); every replica
@@ -688,7 +434,6 @@ class RequestScheduler:
         )
         encoded = server.encoded_model(model_name)
         tracer = server.platform.tracer
-        clock = server.platform.clock
         fleet = getattr(server, "fleet", None)
         if fleet is not None:
             enclave = fleet.replica(replica)
@@ -706,8 +451,6 @@ class RequestScheduler:
             parallel.stage_batch([r.ct.to_ntt().data for r in requests]),
             is_ntt=True,
         )
-        if flushed_at is None:
-            flushed_at = clock.now_s
 
         contexts = [r.context for r in requests]
         trace_attrs: dict = {}
@@ -745,8 +488,8 @@ class RequestScheduler:
                     "serve/request",
                     request_id=r.request_id,
                     model=model_name,
-                    queue_wait_s=flushed_at - r.enqueued_at,
-                    queue_depth_at_submit=r.queue_depth_at_submit,
+                    queue_wait_s=flushed_at - r.admitted_at,
+                    queue_depth_at_submit=r.depth_at_entry,
                     batch=r.batch,
                     replica=getattr(enclave, "replica", None),
                     **request_attrs,
@@ -770,7 +513,7 @@ class RequestScheduler:
                     timing=timing,
                     request_id=r.request_id,
                     packed_batch=total,
-                    queue_wait_s=flushed_at - r.enqueued_at,
+                    queue_wait_s=flushed_at - r.admitted_at,
                     replica=getattr(enclave, "replica", None),
                     context=r.context,
                 )

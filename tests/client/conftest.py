@@ -39,9 +39,9 @@ def verifier_for():
 
 @pytest.fixture()
 def make_server(batching_params, q_sigmoid):
-    def build(fleet_size=1, seed=13, serve_config=None):
+    def build(fleet_size=1, seed=13, max_batch=None):
         srv = EdgeServer(
-            batching_params, seed=seed, serve_config=serve_config, fleet_size=fleet_size
+            batching_params, seed=seed, max_batch=max_batch, fleet_size=fleet_size
         )
         srv.provision_model("digits", q_sigmoid)
         return srv

@@ -8,7 +8,7 @@ import pytest
 
 from repro.client import AttestedClient
 from repro.errors import RecoveryExhausted
-from repro.serve import LoopConfig, ServeConfig, ServiceTimeModel, ServingLoop
+from repro.serve import LoopConfig, ServiceTimeModel, ServingLoop
 
 MODEL = ServiceTimeModel(base_s=4e-3, per_image_s=5e-4)
 
@@ -62,7 +62,7 @@ class TestRoutePolicy:
 class TestSeededAssignmentPins:
     def run_trace(self, make_server, verifier_for, models, *, seed):
         server = make_server(
-            fleet_size=2, seed=seed, serve_config=ServeConfig(max_batch=2)
+            fleet_size=2, seed=seed, max_batch=2
         )
         client = AttestedClient(
             server, verifier_for(server), b"\x42" * 32
@@ -89,7 +89,7 @@ class TestSeededAssignmentPins:
         """With two replicas free and two full groups queued at t=0, the
         loop dispatches both at once -- one flush per replica, overlapping
         in time."""
-        server = make_server(fleet_size=2, serve_config=ServeConfig(max_batch=2))
+        server = make_server(fleet_size=2, max_batch=2)
         client = AttestedClient(
             server, verifier_for(server), b"\x42" * 32
         ).establish()
@@ -103,7 +103,7 @@ class TestSeededAssignmentPins:
         assert second["started_at_s"] < first["done_at_s"]
 
     def test_report_counts_replicas(self, make_server, verifier_for, models):
-        server = make_server(fleet_size=2, serve_config=ServeConfig(max_batch=2))
+        server = make_server(fleet_size=2, max_batch=2)
         client = AttestedClient(
             server, verifier_for(server), b"\x42" * 32
         ).establish()
@@ -119,7 +119,7 @@ class TestSeededAssignmentPins:
         """fleet_size=1 keeps the exact legacy timeline (the generalized
         queue-wait estimate reduces bit-exactly): one group at a time, each
         flush on replica 0."""
-        server = make_server(serve_config=ServeConfig(max_batch=2))
+        server = make_server(max_batch=2)
         client = AttestedClient(
             server, verifier_for(server), b"\x42" * 32
         ).establish()

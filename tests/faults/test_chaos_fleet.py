@@ -18,7 +18,7 @@ from repro import faults
 from repro.core import EdgeServer, PlaintextPipeline
 from repro.faults import FaultPlan, FaultRule
 from repro.obs.metrics import use_registry
-from repro.serve import LoopConfig, ServeConfig, ServingLoop
+from repro.serve import LoopConfig, ServingLoop
 from repro.sgx import AttestationVerificationService
 
 from .conftest import chaos_seeds
@@ -28,7 +28,7 @@ def make_fleet_loop(batching_params, q_sigmoid, *, fleet_size=2, max_batch=4, **
     srv = EdgeServer(
         batching_params,
         seed=13,
-        serve_config=ServeConfig(max_batch=max_batch),
+        max_batch=max_batch,
         fleet_size=fleet_size,
     )
     srv.provision_model("digits", q_sigmoid)
@@ -129,7 +129,7 @@ class TestRetryExhaustionFailsOver:
         srv = EdgeServer(
             batching_params,
             seed=13,
-            serve_config=ServeConfig(max_batch=4),
+            max_batch=4,
             fleet_size=2,
         )
         srv.provision_model("digits", q_sigmoid)

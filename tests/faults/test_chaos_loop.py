@@ -19,7 +19,7 @@ from repro import faults
 from repro.core import EdgeServer, PlaintextPipeline
 from repro.errors import NoiseBudgetExhausted, RequestFailedError
 from repro.faults import FaultPlan, FaultRule
-from repro.serve import LoopConfig, ServeConfig, ServingLoop
+from repro.serve import LoopConfig, ServingLoop
 from repro.sgx import AttestationVerificationService
 
 from .conftest import chaos_seeds
@@ -27,7 +27,7 @@ from .conftest import chaos_seeds
 
 def make_loop(batching_params, q_sigmoid, *, max_batch=4, **cfg):
     srv = EdgeServer(
-        batching_params, seed=13, serve_config=ServeConfig(max_batch=max_batch)
+        batching_params, seed=13, max_batch=max_batch
     )
     srv.provision_model("digits", q_sigmoid)
     verifier = AttestationVerificationService()

@@ -20,6 +20,7 @@ from repro.core import PlaintextPipeline
 from repro.faults import FaultPlan, FaultRule
 from repro.he import parallel
 from repro.obs.metrics import use_registry
+from repro.serve import ServingLoop
 
 from .conftest import chaos_seeds
 
@@ -34,9 +35,9 @@ def pristine_pool_state():
     parallel.shutdown()
 
 
-def submit_singles(server, session, images):
+def submit_singles(loop, session, images):
     return [
-        server.scheduler.submit("digits", session.encrypt("digits", images[i : i + 1]))
+        loop.submit("digits", session.encrypt("digits", images[i : i + 1]))
         for i in range(len(images))
     ]
 
@@ -50,15 +51,16 @@ class TestWorkerKilledMidFlush:
         in-process and the logits match plaintext bit-for-bit."""
         images = models.dataset.test_images[:3]
         expected = PlaintextPipeline(q_sigmoid).infer(images).logits
+        loop = ServingLoop(server)
         with use_registry() as reg:
             with parallel.use(3):
-                responses = submit_singles(server, session, images)
+                responses = submit_singles(loop, session, images)
                 plan = FaultPlan(
                     seed,
                     rules=[FaultRule(site="parallel.worker", name="1", max_fires=1)],
                 )
                 with faults.armed(plan):
-                    server.scheduler.drain()
+                    loop.run()
                 pool = parallel.active_pool()
                 assert plan.fires("parallel.worker") == 1
                 assert pool.deaths == 1
@@ -68,7 +70,7 @@ class TestWorkerKilledMidFlush:
             flat = reg.collect().flat()
             assert flat["repro_parallel_worker_deaths_total"] == 1.0
             assert flat["repro_parallel_replayed_units_total"] >= 1.0
-        assert server.scheduler.queue_depth == 0
+        assert loop.queue_depth == 0
         for i, response in enumerate(responses):
             logits = session.decrypt_logits(response.result())
             assert np.array_equal(logits[0], expected[i])
@@ -80,18 +82,19 @@ class TestWorkerKilledMidFlush:
         """The fault-free workers=1 flush and the killed workers=3 flush
         produce identical decrypted logits for the same submissions."""
         images = models.dataset.test_images[:2]
-        baseline = submit_singles(server, session, images)
-        server.scheduler.drain()  # workers=1, disarmed: the authority
+        loop = ServingLoop(server)
+        baseline = submit_singles(loop, session, images)
+        loop.run()  # workers=1, disarmed: the authority
         reference = [session.decrypt_logits(r.result()) for r in baseline]
 
         with parallel.use(2):
-            responses = submit_singles(server, session, images)
+            responses = submit_singles(loop, session, images)
             plan = FaultPlan(
                 seed,
                 rules=[FaultRule(site="parallel.worker", name="0", max_fires=1)],
             )
             with faults.armed(plan):
-                server.scheduler.drain()
+                loop.run()
             assert plan.fires("parallel.worker") == 1
             assert parallel.active_pool().deaths == 1
         for response, expected in zip(responses, reference):
@@ -107,6 +110,7 @@ class TestWorkerKilledMidFlush:
         each respawn serves the next flush, results stay exact."""
         images = models.dataset.test_images[:2]
         expected = PlaintextPipeline(q_sigmoid).infer(images).logits
+        loop = ServingLoop(server)
         with parallel.use(2):
             plan = FaultPlan(
                 seed,
@@ -114,8 +118,8 @@ class TestWorkerKilledMidFlush:
             )
             with faults.armed(plan):
                 for _ in range(3):
-                    responses = submit_singles(server, session, images)
-                    server.scheduler.drain()
+                    responses = submit_singles(loop, session, images)
+                    loop.run()
                     for i, response in enumerate(responses):
                         logits = session.decrypt_logits(response.result())
                         assert np.array_equal(logits[0], expected[i])

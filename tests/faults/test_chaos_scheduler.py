@@ -1,11 +1,12 @@
-"""Chaos against the serving layer: poisoned packed flushes must not sink
-the batch, hang a response, or leave ghosts in the queue.
+"""Chaos against the packed-flush engine: poisoned packed flushes must not
+sink the batch, hang a ticket, or leave ghosts in the queue.
 
-This is the serving half of DESIGN.md §11: `_flush_model` pops its bucket up
-front and resolves *every* popped request -- recovered requests with their
-logits, poisoned ones with a causal :class:`~repro.errors.RequestFailedError`
--- so ``queue_depth`` is always 0 after a flush and ``result()`` never raises
-a permanent :class:`~repro.errors.ResponseNotReady`.
+This is the serving half of DESIGN.md §11: the serving loop pops each slot
+group before its flush, and ``RequestScheduler.run_batch`` resolves *every*
+popped request -- recovered requests with their logits, poisoned ones with
+a causal :class:`~repro.errors.RequestFailedError` -- so the loop's
+``queue_depth`` is 0 after the last flush and ``result()`` never raises a
+permanent :class:`~repro.errors.ResponseNotReady`.
 """
 
 from __future__ import annotations
@@ -22,14 +23,15 @@ from repro.errors import (
     ServeError,
 )
 from repro.faults import FaultPlan, FaultRule
+from repro.serve import ServingLoop
 
 from .conftest import chaos_seeds
 from .test_chaos_pipelines import all_span_names
 
 
-def submit_singles(server, session, images):
+def submit_singles(loop, session, images):
     return [
-        server.scheduler.submit("digits", session.encrypt("digits", images[i : i + 1]))
+        loop.submit("digits", session.encrypt("digits", images[i : i + 1]))
         for i in range(len(images))
     ]
 
@@ -43,13 +45,14 @@ class TestPoisonedFlushIsolation:
         the poisoned request fails typed, its batch-mates recover bit-exactly."""
         images = models.dataset.test_images[:3]
         expected = PlaintextPipeline(q_sigmoid).infer(images).logits
-        responses = submit_singles(server, session, images)
+        loop = ServingLoop(server)
+        responses = submit_singles(loop, session, images)
         # Fire 1 kills the packed flush; fire 2 kills the first request's
         # isolated re-run; the remaining re-runs see a spent rule.
         plan = FaultPlan(seed, rules=[FaultRule(site="he.noise.decrypt", max_fires=2)])
         with faults.armed(plan):
-            server.scheduler.drain()
-        assert server.scheduler.queue_depth == 0
+            loop.run()
+        assert loop.queue_depth == 0
         assert all(r.done() for r in responses)
         with pytest.raises(RequestFailedError) as excinfo:
             responses[0].result()
@@ -73,15 +76,16 @@ class TestPoisonedFlushIsolation:
         """When the enclave is unrecoverable for the whole window, every
         request resolves with a typed failure -- nothing hangs."""
         images = models.dataset.test_images[:2]
-        responses = submit_singles(server, session, images)
+        loop = ServingLoop(server)
+        responses = submit_singles(loop, session, images)
         plan = FaultPlan(
             seed,
             rules=[FaultRule(site="sgx.ecall", name="unpack_slots", max_fires=None)],
         )
         with faults.armed(plan):
-            served = server.scheduler.drain()
-        assert served == 0
-        assert server.scheduler.queue_depth == 0
+            loop.run()
+        assert loop.stats.served == 0
+        assert loop.queue_depth == 0
         for response in responses:
             assert response.done()
             with pytest.raises(RequestFailedError) as excinfo:
@@ -94,38 +98,37 @@ class TestPoisonedFlushIsolation:
     ):
         """A lone request's flush failure is final: no isolation re-run can
         help it, so it fails in one pass with the original cause chained."""
-        response = server.scheduler.submit(
+        loop = ServingLoop(server)
+        response = loop.submit(
             "digits", session.encrypt("digits", models.dataset.test_images[:1])
         )
         plan = FaultPlan(0, rules=[FaultRule(site="he.noise.decrypt", max_fires=1)])
         with faults.armed(plan):
-            server.scheduler.drain()
+            loop.run()
         assert plan.fires() == 1  # exactly the packed pass, no re-run
         with pytest.raises(RequestFailedError):
             response.result()
-        assert server.scheduler.queue_depth == 0
+        assert loop.queue_depth == 0
         assert server.scheduler.stats.failed == 1
 
     def test_scheduler_keeps_serving_after_a_poisoned_flush(
         self, server, session, q_sigmoid, models
     ):
-        """Regression for the PendingResponse failure path: a crashed flush
-        must leave the scheduler fully operational for the next window."""
+        """Regression for the ticket failure path: a crashed flush must leave
+        the loop and its flush engine fully operational for the next
+        window."""
         images = models.dataset.test_images[:2]
         expected = PlaintextPipeline(q_sigmoid).infer(images).logits
-        poisoned = server.scheduler.submit(
-            "digits", session.encrypt("digits", images[:1])
-        )
+        loop = ServingLoop(server)
+        poisoned = loop.submit("digits", session.encrypt("digits", images[:1]))
         with faults.armed(
             FaultPlan(0, rules=[FaultRule(site="he.noise.decrypt", max_fires=1)])
         ):
-            server.scheduler.drain()
+            loop.run()
         assert poisoned.done()
         # Disarmed follow-up window: served normally, bit-exact.
-        healthy = server.scheduler.submit(
-            "digits", session.encrypt("digits", images[1:2])
-        )
-        server.scheduler.drain()
+        healthy = loop.submit("digits", session.encrypt("digits", images[1:2]))
+        loop.run()
         logits = session.decrypt_logits(healthy.result())
         assert np.array_equal(logits[0], expected[1])
         assert server.scheduler.stats.served == 1

@@ -6,6 +6,8 @@ Scans ``src/repro`` for calls to the HE layer kernels (``he_conv2d``,
 ``activation_pool*`` ECALL, or a direct call of such a method).  Only
 ``repro.graph.executor`` and the layers beneath it may make them; a
 hand-written conv -> crossing -> fc sequence anywhere else fails here.
+Likewise ``ServingLoop`` is the one serving front end: the packed-flush
+engine under it may not grow its own request queue back.
 """
 
 from __future__ import annotations
@@ -78,3 +80,12 @@ def test_executor_is_scanned_and_makes_the_calls():
     executor = (SRC / "graph" / "executor.py").read_text(encoding="utf-8")
     calls = {call for _, call in _chain_calls(executor)}
     assert {"he_conv2d", "he_dense", "ecall('activation_pool')"} <= calls
+
+
+def test_scheduler_is_only_the_flush_engine():
+    """``ServingLoop`` is the one serving front end: the packed-flush engine
+    underneath it must not grow a second, manually cranked queue."""
+    from repro.serve import RequestScheduler
+
+    grown = {"submit", "pump", "drain"} & set(dir(RequestScheduler))
+    assert not grown, f"RequestScheduler grew a front end again: {sorted(grown)}"

@@ -1,10 +1,10 @@
 """Serving-layer fixtures: a batching-capable edge deployment.
 
-The scheduler needs a CRT-batching plaintext modulus, so these fixtures
+Packed serving needs a CRT-batching plaintext modulus, so these fixtures
 build their own parameter set (``batching=True``) instead of reusing the
 core fixtures' power-of-two modulus.  Server and session are
-function-scoped: scheduler tests mutate queue state and the simulated
-clock.
+function-scoped: serving tests mutate flush-engine stats and the
+simulated clock.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def session(server, verifier_for):
 @pytest.fixture()
 def session_for(verifier_for):
     """Enroll a user against an ad-hoc server (tests that need their own
-    ServeConfig build their own EdgeServer)."""
+    ``max_batch`` build their own EdgeServer)."""
 
     def make(srv):
         return srv.enroll_user(entropy=b"\x42" * 32, verifier=verifier_for(srv))

@@ -28,10 +28,6 @@ class TestInferenceRequest:
         with pytest.raises(ServeError):
             InferenceRequest(model="", ciphertext=ct)
         with pytest.raises(ServeError):
-            InferenceRequest(model="digits", ciphertext=ct, deadline_ms=5.0)
-        with pytest.raises(ServeError):
-            InferenceRequest(model="digits", ciphertext=ct, pack=True, deadline_ms=-1)
-        with pytest.raises(ServeError):
             InferenceRequest(model="digits", ciphertext=ct, priority=-1)
         with pytest.raises(ServeError):
             InferenceRequest(model="digits", ciphertext=ct, slo_deadline_ms=0.0)
@@ -39,11 +35,10 @@ class TestInferenceRequest:
     def test_unit_conversions(self, session, models):
         ct = session.encrypt("digits", models.dataset.test_images[:1])
         request = InferenceRequest(
-            model="digits", ciphertext=ct, pack=True, deadline_ms=5.0,
-            slo_deadline_ms=40.0,
+            model="digits", ciphertext=ct, pack=True, slo_deadline_ms=40.0
         )
-        assert request.deadline_s == pytest.approx(0.005)
         assert request.slo_deadline_s == pytest.approx(0.040)
+        assert InferenceRequest(model="digits", ciphertext=ct).slo_deadline_s is None
 
     def test_served_result_is_the_inference_result(self):
         assert ServedResult is InferenceResult
@@ -85,25 +80,26 @@ class TestCanonicalInfer:
     def test_request_form_packs_with_deadline(
         self, batching_params, q_sigmoid, session_for, models
     ):
-        from repro.serve import ServeConfig
-
-        srv = EdgeServer(
-            batching_params, seed=13, serve_config=ServeConfig(max_batch=4)
-        )
+        """A packed request flushes on a zero coalescing deadline: it is
+        served at once, with no queue wait, at the server's ``max_batch``."""
+        srv = EdgeServer(batching_params, seed=13, max_batch=4)
         srv.provision_model("digits", q_sigmoid)
         session = session_for(srv)
-        images = models.dataset.test_images[:1]
+        images = models.dataset.test_images[:2]
         ct = session.encrypt("digits", images)
-        result = srv.infer(
-            InferenceRequest(model="digits", ciphertext=ct, pack=True, deadline_ms=5.0)
-        )
+        result = srv.infer(InferenceRequest(model="digits", ciphertext=ct, pack=True))
         expected = PlaintextPipeline(q_sigmoid).infer(images).logits
         assert np.array_equal(session.decrypt_logits(result), expected)
         assert result.request_id is not None
+        assert result.packed_batch == 2
+        assert result.queue_wait_s == 0.0
+        assert srv.scheduler.capacity == 4
 
     def test_deadline_without_pack_is_refused(self, session, models):
+        """The request's coalescing deadline is gone (a coalescing window is
+        a serving-loop setting): the keyword fails loudly."""
         ct = session.encrypt("digits", models.dataset.test_images[:1])
-        with pytest.raises(ServeError, match="pack=True"):
+        with pytest.raises(TypeError, match="deadline_ms"):
             InferenceRequest(model="digits", ciphertext=ct, deadline_ms=5.0)
 
 

@@ -15,7 +15,6 @@ from repro.errors import (
 )
 from repro.serve import (
     LoopConfig,
-    ServeConfig,
     ServiceTimeModel,
     ServingLoop,
     poisson_trace,
@@ -27,7 +26,7 @@ MODEL = ServiceTimeModel(base_s=4e-3, per_image_s=5e-4)
 
 def make_loop(batching_params, q_sigmoid, session_for, *, max_batch=4, **cfg):
     srv = EdgeServer(
-        batching_params, seed=13, serve_config=ServeConfig(max_batch=max_batch)
+        batching_params, seed=13, max_batch=max_batch
     )
     srv.provision_model("digits", q_sigmoid)
     session = session_for(srv)

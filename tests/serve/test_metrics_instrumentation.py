@@ -1,4 +1,6 @@
-"""Scheduler metrics: request counters, latency split, rejections."""
+"""Serving metrics: admission counters, latency split, rejections, and the
+queue-depth gauge, all written while the serving loop drives the flush
+engine."""
 
 from __future__ import annotations
 
@@ -7,6 +9,7 @@ import pytest
 from repro.core import EdgeServer
 from repro.errors import UnknownModelError
 from repro.obs.metrics import use_registry
+from repro.serve import ServingLoop
 
 
 @pytest.fixture()
@@ -20,11 +23,16 @@ def instrumented(batching_params, q_sigmoid, verifier_for):
         yield reg, srv, session
 
 
-def _serve(srv, session, models, count):
+def _queue(srv, session, models, count):
+    loop = ServingLoop(srv)
     images = models.dataset.test_images
     for i in range(count):
-        srv.scheduler.submit("digits", session.encrypt("digits", images[i : i + 1]))
-    srv.scheduler.drain("digits")
+        loop.submit("digits", session.encrypt("digits", images[i : i + 1]))
+    return loop
+
+
+def _serve(srv, session, models, count):
+    _queue(srv, session, models, count).run()
 
 
 class TestServeInstrumentation:
@@ -32,7 +40,8 @@ class TestServeInstrumentation:
         reg, srv, session = instrumented
         _serve(srv, session, models, 3)
         flat = reg.collect().flat()
-        assert flat['repro_serve_requests_total{model="digits"}'] == 3.0
+        assert flat['repro_serve_admitted_total{model="digits",priority="1"}'] == 3.0
+        assert not any(k.startswith("repro_serve_requests_total") for k in flat)
         # One latency observation per request and per phase; queue wait and
         # compute are separate series under the same family.
         for phase in ("queue", "compute"):
@@ -58,12 +67,25 @@ class TestServeInstrumentation:
         _serve(srv, session, models, 2)
         assert reg.collect().flat()["repro_serve_queue_depth"] == 0.0
 
+    def test_queue_depth_gauge_tracks_the_loop(self, instrumented, models):
+        """Requests queued on the loop, still inside their coalescing
+        window, show up on the gauge."""
+        reg, srv, session = instrumented
+        loop = _queue(srv, session, models, 3)
+        loop.run(until_s=0.001)
+        assert reg.collect().flat()["repro_serve_queue_depth"] == 3.0
+        loop.run()
+        assert reg.collect().flat()["repro_serve_queue_depth"] == 0.0
+
     def test_unknown_model_rejection_counted(self, instrumented, models):
         reg, srv, session = instrumented
+        loop = ServingLoop(srv)
+        ticket = loop.submit(
+            "nope", session.encrypt("digits", models.dataset.test_images[:1])
+        )
+        loop.run()
         with pytest.raises(UnknownModelError):
-            srv.scheduler.submit(
-                "nope", session.encrypt("digits", models.dataset.test_images[:1])
-            )
+            ticket.result()
         flat = reg.collect().flat()
         assert flat['repro_serve_rejected_total{reason="unknown_model"}'] == 1.0
 

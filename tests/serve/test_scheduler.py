@@ -1,4 +1,9 @@
-"""Request scheduler: packing correctness, queueing discipline, tracing."""
+"""Packed-flush engine under the serving loop: packing correctness, queue
+discipline, rejections, tracing and accounting.
+
+``RequestScheduler`` only runs the slot groups a :class:`ServingLoop`
+flushes, so every behaviour here is driven through the loop.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +13,7 @@ import pytest
 from repro.core import EdgeServer, PlaintextPipeline, parameters_for_pipeline
 from repro.errors import (
     BatchTooLargeError,
+    KeyMismatchError,
     PipelineError,
     QueueFullError,
     ResponseNotReady,
@@ -15,7 +21,26 @@ from repro.errors import (
     UnknownModelError,
 )
 from repro.obs import reconcile
-from repro.serve import PACKED_SCHEME, InferenceRequest, RequestScheduler, ServeConfig
+from repro.serve import (
+    PACKED_SCHEME,
+    InferenceRequest,
+    LoopConfig,
+    RequestScheduler,
+    ServingLoop,
+)
+
+
+def make_server(batching_params, q_sigmoid, **kwargs):
+    srv = EdgeServer(batching_params, seed=13, **kwargs)
+    srv.provision_model("digits", q_sigmoid)
+    return srv
+
+
+def submit_singles(loop, session, images):
+    return [
+        loop.submit("digits", session.encrypt("digits", images[i : i + 1]))
+        for i in range(len(images))
+    ]
 
 
 class TestPackingCorrectness:
@@ -39,14 +64,12 @@ class TestPackingCorrectness:
                 for i in range(len(images))
             ]
         )
-        responses = [
-            server.scheduler.submit("digits", session.encrypt("digits", images[i : i + 1]))
-            for i in range(len(images))
-        ]
-        assert server.scheduler.drain() == len(images)
-        packed = np.concatenate(
-            [session.decrypt_logits(r.result()) for r in responses]
-        )
+        loop = ServingLoop(server)
+        tickets = submit_singles(loop, session, images)
+        loop.run()
+        assert loop.stats.served == len(images)
+        assert loop.stats.flushes == 1
+        packed = np.concatenate([session.decrypt_logits(t.result()) for t in tickets])
         expected = PlaintextPipeline(q_sigmoid).infer(images).logits
         assert np.array_equal(packed, sequential)
         assert np.array_equal(packed, expected)
@@ -54,18 +77,16 @@ class TestPackingCorrectness:
     def test_responses_keep_submit_order_per_request(
         self, server, session, q_sigmoid, models
     ):
-        """Each response carries *its own* image's logits: distinct images
+        """Each ticket carries *its own* image's logits: distinct images
         submitted concurrently come back unswapped, in submission order."""
         images = models.dataset.test_images[:4]
         expected = PlaintextPipeline(q_sigmoid).infer(images).logits
-        responses = [
-            server.scheduler.submit("digits", session.encrypt("digits", images[i : i + 1]))
-            for i in range(len(images))
-        ]
-        server.scheduler.drain("digits")
-        for i, response in enumerate(responses):
-            assert response.request_id == i
-            logits = session.decrypt_logits(response.result())
+        loop = ServingLoop(server)
+        tickets = submit_singles(loop, session, images)
+        loop.run()
+        for i, ticket in enumerate(tickets):
+            assert ticket.request_id == i
+            logits = session.decrypt_logits(ticket.result())
             assert np.array_equal(logits[0], expected[i])
 
     def test_multi_image_requests_pack_with_singles(
@@ -73,104 +94,110 @@ class TestPackingCorrectness:
     ):
         images = models.dataset.test_images[:5]
         expected = PlaintextPipeline(q_sigmoid).infer(images).logits
-        r_pair = server.scheduler.submit("digits", session.encrypt("digits", images[:2]))
-        r_triple = server.scheduler.submit("digits", session.encrypt("digits", images[2:5]))
-        server.scheduler.drain()
-        assert np.array_equal(session.decrypt_logits(r_pair.result()), expected[:2])
-        assert np.array_equal(session.decrypt_logits(r_triple.result()), expected[2:5])
-        assert r_pair.result().packed_batch == 5
-        assert r_triple.result().packed_batch == 5
+        loop = ServingLoop(server)
+        pair = loop.submit("digits", session.encrypt("digits", images[:2]))
+        triple = loop.submit("digits", session.encrypt("digits", images[2:5]))
+        loop.run()
+        assert np.array_equal(session.decrypt_logits(pair.result()), expected[:2])
+        assert np.array_equal(session.decrypt_logits(triple.result()), expected[2:5])
+        assert pair.result().packed_batch == 5
+        assert triple.result().packed_batch == 5
 
 
 class TestQueueDiscipline:
     def test_result_before_flush_raises(self, server, session, models):
-        response = server.scheduler.submit(
+        loop = ServingLoop(server)
+        ticket = loop.submit(
             "digits", session.encrypt("digits", models.dataset.test_images[:1])
         )
-        assert not response.done()
+        loop.run(until_s=0.001)  # admitted, still inside its window
+        assert ticket.admitted and not ticket.done()
         with pytest.raises(ResponseNotReady):
-            response.result()
+            ticket.result()
+        loop.run()
+        assert ticket.result().packed_batch == 1
 
-    def test_queue_full_rejects_with_backpressure(
-        self, batching_params, q_sigmoid, session_for, models
-    ):
-        srv = EdgeServer(
-            batching_params, seed=13, serve_config=ServeConfig(max_queue_depth=2)
-        )
-        srv.provision_model("digits", q_sigmoid)
-        session = session_for(srv)
+    def test_queue_full_rejects_with_backpressure(self, server, session, models):
+        loop = ServingLoop(server, LoopConfig(max_queue_depth=2))
         ct = session.encrypt("digits", models.dataset.test_images[:1])
-        srv.scheduler.submit("digits", ct)
-        srv.scheduler.submit("digits", ct)
+        tickets = [loop.submit("digits", ct) for _ in range(3)]
+        loop.run(until_s=0.0)
         with pytest.raises(QueueFullError):
-            srv.scheduler.submit("digits", ct)
-        assert srv.scheduler.stats.rejected_queue_full == 1
-        assert srv.scheduler.queue_depth == 2
-        assert srv.scheduler.drain() == 2
+            tickets[2].result()
+        assert loop.stats.shed_queue_full == 1
+        assert loop.queue_depth == 2
+        loop.run()
+        assert loop.stats.served == 2
 
     def test_flush_on_capacity(self, batching_params, q_sigmoid, session_for, models):
-        """The bucket flushes itself the moment it reaches packing capacity,
-        without pump() or drain()."""
-        srv = EdgeServer(
-            batching_params, seed=13, serve_config=ServeConfig(max_batch=3)
-        )
-        srv.provision_model("digits", q_sigmoid)
+        """A slot group flushes the moment it reaches packing capacity,
+        without waiting out its coalescing window."""
+        srv = make_server(batching_params, q_sigmoid, max_batch=3)
         session = session_for(srv)
         ct = session.encrypt("digits", models.dataset.test_images[:1])
-        first = [srv.scheduler.submit("digits", ct) for _ in range(3)]
-        assert all(r.done() for r in first)
-        assert srv.scheduler.queue_depth == 0
+        loop = ServingLoop(srv)
+        tickets = [loop.submit("digits", ct) for _ in range(3)]
+        loop.run(until_s=0.0)
+        assert loop.queue_depth == 0
+        assert loop.stats.flushes == 1
         assert srv.scheduler.stats.flushes == 1
+        loop.run()
+        assert all(t.result().packed_batch == 3 for t in tickets)
 
     def test_overflow_request_closes_open_batch_first(
         self, batching_params, q_sigmoid, session_for, models
     ):
-        srv = EdgeServer(
-            batching_params, seed=13, serve_config=ServeConfig(max_batch=3)
-        )
-        srv.provision_model("digits", q_sigmoid)
+        srv = make_server(batching_params, q_sigmoid, max_batch=3)
         session = session_for(srv)
         single = session.encrypt("digits", models.dataset.test_images[:1])
         pair = session.encrypt("digits", models.dataset.test_images[1:3])
-        early = [srv.scheduler.submit("digits", single) for _ in range(2)]
-        late = srv.scheduler.submit("digits", pair)
-        # 2 + 2 > 3: the two early singles flushed as their own batch...
-        assert all(r.done() for r in early)
-        assert early[0].result().packed_batch == 2
+        loop = ServingLoop(srv)
+        early = [loop.submit("digits", single) for _ in range(2)]
+        late = loop.submit("digits", pair)
+        loop.run(until_s=0.0)
+        # 2 + 2 > 3: the two early singles flushed as their own group...
+        assert loop.stats.flushes == 1
+        assert loop.flush_log[0]["images"] == 2
         # ...and the pair waits for its own flush.
-        assert not late.done()
-        srv.scheduler.drain()
+        assert loop.pending_images("digits") == 2
+        loop.run()
+        assert early[0].result().packed_batch == 2
         assert late.result().packed_batch == 2
 
-    def test_flush_on_deadline_under_simulated_clock(self, server, session, models):
+    def test_per_request_deadline_overrides_window(self, server, session, models):
+        loop = ServingLoop(server, LoopConfig(window_s=0.01))
         ct = session.encrypt("digits", models.dataset.test_images[:1])
-        response = server.scheduler.submit("digits", ct, deadline_s=0.5)
-        clock = server.platform.clock
-        clock.elapse_real(0.4)
-        assert server.scheduler.pump() == 0
-        assert not response.done()
-        clock.elapse_real(0.2)
-        assert server.scheduler.pump() == 1
-        assert response.done()
+        ticket = loop.submit("digits", ct, deadline_s=0.5)
+        loop.run(until_s=0.4)
+        assert loop.stats.flushes == 0
+        loop.run(until_s=0.6)
+        assert loop.stats.flushes == 1
+        loop.run()
+        assert ticket.queue_wait_s == pytest.approx(0.5)
 
-    def test_default_window_drives_pump(self, batching_params, q_sigmoid, session_for, models):
-        srv = EdgeServer(
-            batching_params, seed=13, serve_config=ServeConfig(window_s=0.01)
-        )
-        srv.provision_model("digits", q_sigmoid)
-        session = session_for(srv)
-        srv.scheduler.submit(
+    def test_default_window_drives_pump(self, server, session, models):
+        """The configured window flushes a lone request once it expires."""
+        loop = ServingLoop(server, LoopConfig(window_s=0.01))
+        ticket = loop.submit(
             "digits", session.encrypt("digits", models.dataset.test_images[:1])
         )
-        srv.platform.clock.elapse_real(0.02)
-        assert srv.scheduler.pump() == 1
+        loop.run(until_s=0.005)
+        assert loop.stats.flushes == 0
+        loop.run(until_s=0.02)
+        assert loop.stats.flushes == 1
+        loop.run()
+        assert ticket.queue_wait_s == pytest.approx(0.01)
 
 
 class TestRejectionPaths:
     def test_unknown_model(self, server, session, models):
         ct = session.encrypt("digits", models.dataset.test_images[:1])
+        loop = ServingLoop(server)
+        ticket = loop.submit("faces", ct)
+        loop.run()
         with pytest.raises(UnknownModelError):
-            server.scheduler.submit("faces", ct)
+            ticket.result()
+        assert ticket.shed_reason == "rejected"
         assert server.scheduler.stats.rejected_unknown_model == 1
 
     def test_unknown_model_is_a_pipeline_error(self, server, session, models):
@@ -180,14 +207,15 @@ class TestRejectionPaths:
             server.infer(InferenceRequest(model="faces", ciphertext=ct))
 
     def test_oversized_batch(self, batching_params, q_sigmoid, session_for, models):
-        srv = EdgeServer(
-            batching_params, seed=13, serve_config=ServeConfig(max_batch=2)
-        )
-        srv.provision_model("digits", q_sigmoid)
+        srv = make_server(batching_params, q_sigmoid, max_batch=2)
         session = session_for(srv)
         ct = session.encrypt("digits", models.dataset.test_images[:3])
+        loop = ServingLoop(srv)
+        ticket = loop.submit("digits", ct)
+        loop.run()
         with pytest.raises(BatchTooLargeError):
-            srv.scheduler.submit("digits", ct)
+            ticket.result()
+        assert loop.stats.rejected == 1
         assert srv.scheduler.stats.rejected_oversized == 1
 
     def test_non_batching_params_rejected(self, q_sigmoid):
@@ -196,11 +224,42 @@ class TestRejectionPaths:
         srv.provision_model("digits", q_sigmoid)
         with pytest.raises(ServeError):
             srv.scheduler  # noqa: B018 - the property builds the scheduler
+        with pytest.raises(ServeError):
+            ServingLoop(srv)
 
     def test_malformed_request_shape(self, server, session, models):
         ct = session.encrypt("digits", models.dataset.test_images[:1])
+        loop = ServingLoop(server)
+        ticket = loop.submit("digits", ct[0, :, :, :])
+        loop.run()
         with pytest.raises(ServeError):
-            server.scheduler.submit("digits", ct[0, :, :, :])
+            ticket.result()
+
+    def test_foreign_context_fails_only_its_ticket(
+        self, server, session, q_sigmoid, models
+    ):
+        """A ciphertext under another parameter set fails its own ticket
+        with KeyMismatchError; the loop keeps serving the rest."""
+        from repro.he.context import Context
+        from repro.he.encoders import ScalarEncoder
+        from repro.he.encryptor import Encryptor
+        from repro.he.keys import KeyGenerator
+
+        other = Context(parameters_for_pipeline(q_sigmoid, 512, batching=True))
+        keys = KeyGenerator(other, np.random.default_rng(0)).generate()
+        pixels = q_sigmoid.quantize_images(models.dataset.test_images[:1])
+        foreign = Encryptor(other, keys.public, np.random.default_rng(1)).encrypt(
+            ScalarEncoder(other).encode(pixels)
+        )
+        loop = ServingLoop(server)
+        bad = loop.submit("digits", foreign)
+        good = loop.submit(
+            "digits", session.encrypt("digits", models.dataset.test_images[:1])
+        )
+        loop.run()
+        with pytest.raises(KeyMismatchError):
+            bad.result()
+        assert good.result().packed_batch == 1
 
 
 class TestServerFacade:
@@ -215,40 +274,23 @@ class TestServerFacade:
         assert np.array_equal(session.decrypt_logits(result), expected)
         assert result.packed_batch == 1
         assert result.request_id is not None
-
-    def test_pack_true_rides_existing_batch(self, server, session, q_sigmoid, models):
-        """A pack=True call drains the whole bucket: earlier submissions
-        resolve on the same flush."""
-        images = models.dataset.test_images[:3]
-        expected = PlaintextPipeline(q_sigmoid).infer(images).logits
-        early = [
-            server.scheduler.submit("digits", session.encrypt("digits", images[i : i + 1]))
-            for i in range(2)
-        ]
-        result = server.infer(
-            InferenceRequest(
-                model="digits",
-                ciphertext=session.encrypt("digits", images[2:3]),
-                pack=True,
-            )
-        )
-        assert result.packed_batch == 3
-        assert all(r.done() for r in early)
-        assert np.array_equal(session.decrypt_logits(early[0].result()), expected[:1])
+        # The facade flushes at once: no coalescing wait.
+        assert result.queue_wait_s == 0.0
 
     def test_deadline_without_pack_rejected(self, server, session, models):
+        """A request carries no coalescing deadline (that is a loop
+        setting), so the keyword fails loudly with or without ``pack``."""
         ct = session.encrypt("digits", models.dataset.test_images[:1])
-        with pytest.raises(PipelineError):
-            InferenceRequest(model="digits", ciphertext=ct, deadline_ms=5.0)
+        for pack in (False, True):
+            with pytest.raises(TypeError):
+                InferenceRequest(model="digits", ciphertext=ct, pack=pack, deadline_ms=5.0)
 
 
 class TestObservability:
     def test_packed_trace_structure(self, server, session, models):
-        for i in range(3):
-            server.scheduler.submit(
-                "digits", session.encrypt("digits", models.dataset.test_images[i : i + 1])
-            )
-        server.scheduler.drain()
+        loop = ServingLoop(server)
+        submit_singles(loop, session, models.dataset.test_images[:3])
+        loop.run()
         trace = next(
             t for t in reversed(server.platform.tracer.traces) if t.name == PACKED_SCHEME
         )
@@ -263,46 +305,47 @@ class TestObservability:
         assert trace.attrs["batch"] == 3
 
     def test_served_result_carries_serving_metadata(self, server, session, models):
-        response = server.scheduler.submit(
+        loop = ServingLoop(server, LoopConfig(window_s=0.1))
+        ticket = loop.submit(
             "digits", session.encrypt("digits", models.dataset.test_images[:1])
         )
-        server.platform.clock.elapse_real(0.1)
-        server.scheduler.drain()
-        result = response.result()
+        loop.run()
+        result = ticket.result()
         assert result.packed_batch == 1
+        assert result.request_id == ticket.request_id
         assert result.queue_wait_s == pytest.approx(0.1)
 
     def test_stats_accumulate(self, server, session, models):
-        for i in range(4):
-            server.scheduler.submit(
-                "digits", session.encrypt("digits", models.dataset.test_images[i : i + 1])
-            )
-        server.scheduler.drain()
+        loop = ServingLoop(server)
+        submit_singles(loop, session, models.dataset.test_images[:4])
+        loop.run()
+        assert loop.stats.admitted == 4
+        assert loop.stats.peak_queue_depth == 4
         stats = server.scheduler.stats
-        assert stats.submitted == 4
         assert stats.served == 4
         assert stats.flushes == 1
         assert stats.packed_images == 4
-        assert stats.peak_queue_depth == 4
 
 
 class TestSchedulerConstruction:
     def test_standalone_construction(self, server):
-        scheduler = RequestScheduler(server, ServeConfig(max_batch=8))
+        scheduler = RequestScheduler(server, max_batch=8)
         assert scheduler.capacity == 8
         assert scheduler.slot_count == server.params.poly_degree
 
     def test_capacity_clamped_to_slots(self, server):
-        scheduler = RequestScheduler(server, ServeConfig(max_batch=10**6))
+        scheduler = RequestScheduler(server, max_batch=10**6)
         assert scheduler.capacity == server.params.poly_degree
 
-    def test_bad_config_rejected(self):
+    def test_bad_config_rejected(self, server, batching_params):
         with pytest.raises(ServeError):
-            ServeConfig(max_queue_depth=0)
+            RequestScheduler(server, max_batch=0)
         with pytest.raises(ServeError):
-            ServeConfig(max_batch=0)
+            EdgeServer(batching_params, seed=13, max_batch=0).scheduler  # noqa: B018
         with pytest.raises(ServeError):
-            ServeConfig(window_s=-1.0)
+            LoopConfig(max_queue_depth=0)
+        with pytest.raises(ServeError):
+            LoopConfig(window_s=-1.0)
 
 
 class TestAccountingBugfixes:
@@ -332,33 +375,36 @@ class TestAccountingBugfixes:
             ct[:, :0, :, :],  # wrong channel count
             ct[:0, :, :, :],  # empty batch
         ]
-        for bad in malformed:
+        loop = ServingLoop(server)
+        tickets = [loop.submit("digits", bad) for bad in malformed]
+        loop.run()
+        for ticket in tickets:
             with pytest.raises(ServeError):
-                server.scheduler.submit("digits", bad)
+                ticket.result()
         assert server.scheduler.stats.rejected_malformed - before_stats == 3
         assert metric.value - before_metric == 3
         # Malformed is its own reason: the unknown-model path is separate.
+        unknown = loop.submit("nope", ct)
+        loop.run()
         with pytest.raises(UnknownModelError):
-            server.scheduler.submit("nope", ct)
+            unknown.result()
         assert metric.value - before_metric == 3
 
     def test_queue_depth_sampled_at_entry_not_after_overflow_flush(
         self, batching_params, q_sigmoid, session_for, models
     ):
-        """An overflow request that forces the open batch to flush first must
-        still record the depth it actually saw on entry (the two queued
+        """An overflow request that forces the open group to flush first
+        must still record the depth it actually saw on entry (the two queued
         singles), not the post-flush depth of zero."""
-        srv = EdgeServer(
-            batching_params, seed=13, serve_config=ServeConfig(max_batch=3)
-        )
-        srv.provision_model("digits", q_sigmoid)
+        srv = make_server(batching_params, q_sigmoid, max_batch=3)
         session = session_for(srv)
         single = session.encrypt("digits", models.dataset.test_images[:1])
         pair = session.encrypt("digits", models.dataset.test_images[1:3])
+        loop = ServingLoop(srv)
         for _ in range(2):
-            srv.scheduler.submit("digits", single)
-        late = srv.scheduler.submit("digits", pair)  # 2+2 > 3: flushes early
-        srv.scheduler.drain()
+            loop.submit("digits", single)
+        late = loop.submit("digits", pair)  # 2+2 > 3: flushes early
+        loop.run()
         spans = [
             c
             for t in srv.platform.tracer.traces
@@ -393,16 +439,14 @@ class TestAccountingBugfixes:
         lat_before, occ_before = latency.count, occupancy.count
         images = models.dataset.test_images[:3]
         expected = PlaintextPipeline(q_sigmoid).infer(images).logits
-        responses = [
-            server.scheduler.submit("digits", session.encrypt("digits", images[i : i + 1]))
-            for i in range(3)
-        ]
+        loop = ServingLoop(server)
+        tickets = submit_singles(loop, session, images)
         stats = server.scheduler.stats
         flushes_before = stats.flushes
         # One fire kills the packed pass; every isolated re-run succeeds.
         plan = FaultPlan(11, rules=[FaultRule(site="he.noise.decrypt", max_fires=1)])
         with faults.armed(plan):
-            server.scheduler.drain()
+            loop.run()
         # The dead packed pass is one isolation, not 3 extra flushes:
         # `flushes` counts successful packed passes only.
         assert stats.flushes - flushes_before == 0
@@ -413,6 +457,6 @@ class TestAccountingBugfixes:
         # queue-latency sample per request, occupancy per (re)run.
         assert latency.count - lat_before == 3
         assert occupancy.count - occ_before == 3
-        for i, response in enumerate(responses):
-            logits = session.decrypt_logits(response.result())
+        for i, ticket in enumerate(tickets):
+            logits = session.decrypt_logits(ticket.result())
             assert np.array_equal(logits[0], expected[i])
